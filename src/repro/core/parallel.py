@@ -19,7 +19,9 @@ counter (:meth:`OperationCounter.merge`) *inside a per-worker tracer span*,
 so phase traces, the cost table, and the PR-3 regression gate see exactly
 the tallies a single-process run would produce.  This works because every
 tally is per-term (one ``exp_g1_msm`` per nonzero MSM exponent, one
-``hash_to_g1`` per id, …) and therefore invariant under chunking; the
+``hash_to_g1`` per id, …) and therefore invariant under chunking — except
+``cofactor_clear``, which counts the one cofactor clearing each chunk of a
+fused hash-MSM actually performs; the
 partial-aggregate merges use raw, uncounted group additions — matching
 :meth:`PairingGroup.multi_exp`, which doesn't tally its internal
 additions either.
@@ -113,12 +115,11 @@ def _task_msm(payload):
 
 
 def _task_hash_msm(payload):
-    """Partial ∏ H(id_i)^{β_i}: hashes ids then MSMs, per Eq. 6's RHS."""
+    """Partial ∏ H(id_i)^{β_i} (Eq. 6's RHS) via the group's ``hash_msm``."""
     block_ids, betas = payload
     group = _WORKER["group"]
     before = _WORKER["counter"].snapshot()
-    elements = [group.hash_to_g1(block_id) for block_id in block_ids]
-    acc = group.multi_exp(elements, betas)
+    acc = group.hash_msm(block_ids, betas)
     return acc.point, _delta_since(before)
 
 
@@ -270,14 +271,16 @@ class WorkerPool:
         return self._merge_partials("msm", self._run(_task_msm, payloads))
 
     def hash_msm(self, block_ids: list[bytes], betas: list[int]) -> GroupElement:
-        """``prod H(id_i) ** beta_i`` — hash-to-curve fanned out too."""
+        """``prod H(id_i) ** beta_i`` — one :meth:`PairingGroup.hash_msm` per
+        chunk, so each worker clears the cofactor once for its chunk
+        (``cofactor_clear`` counts one per chunk; every other tally matches
+        the serial call exactly)."""
         if len(block_ids) != len(betas):
             raise ValueError("block_ids and betas must have equal length")
         if not block_ids:
             raise ValueError("need at least one term")
         if self.workers <= 1 or len(block_ids) < MIN_PARALLEL_ITEMS:
-            elements = [self.group.hash_to_g1(block_id) for block_id in block_ids]
-            return self.group.multi_exp(elements, betas)
+            return self.group.hash_msm(block_ids, betas)
         payloads = [
             (list(block_ids[lo:hi]), list(betas[lo:hi]))
             for lo, hi in chunk_ranges(len(block_ids), self.workers)

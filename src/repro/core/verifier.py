@@ -151,28 +151,23 @@ class PublicVerifier:
     def _challenge_aggregate(self, challenge: Challenge, response: ProofResponse) -> GroupElement:
         """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}  (the RHS element of Eq. 6).
 
-        One (c + k)-term multi-scalar multiplication.  With a
-        :class:`~repro.core.parallel.WorkerPool` attached, the c
-        hash-to-curve evaluations and their MSM terms fan out across
-        workers (the k-term u-part stays local); the result and the op
-        tallies are identical either way.  Op-count cost: (c + k) Exp_G1
+        The hash part comes from :meth:`~repro.pairing.interface.PairingGroup.hash_msm`
+        — on type A, one c-term MSM over the raw try-and-increment points
+        and a single cofactor clearing — fanned out across workers when a
+        :class:`~repro.core.parallel.WorkerPool` is attached; the k-term
+        u-part is one local MSM.  Op-count cost: (c + k) Exp_G1
         (``exp_g1_msm`` for nonzero exponents, ``exp_g1_skipped`` for zero
         α_l — Section VI-A2 counts (c + k) Exp unconditionally) plus
         c ``hash_to_g1``.
         """
         if not challenge.block_ids:
             raise ValueError("empty challenge")
-        betas = list(challenge.betas)
-        if self.pool is not None:
-            h_part = self.pool.hash_msm(list(challenge.block_ids), betas)
-            u_part = self.group.multi_exp(list(self.params.u), list(response.alphas))
-            # Raw, uncounted merge — multi_exp doesn't tally its internal
-            # additions either, so serial and pooled tallies match exactly.
-            return GroupElement(
-                self.group,
-                self.group._add(h_part.point, u_part.point, "g1"),
-                "g1",
-            )
-        elements = [self.group.hash_to_g1(block_id) for block_id in challenge.block_ids]
-        elements.extend(self.params.u)
-        return self.group.multi_exp(elements, betas + list(response.alphas))
+        h_part = (self.pool or self.group).hash_msm(
+            list(challenge.block_ids), list(challenge.betas)
+        )
+        u_part = self.group.multi_exp(list(self.params.u), list(response.alphas))
+        # Raw, uncounted merge — multi_exp doesn't tally its internal
+        # additions either.
+        return GroupElement(
+            self.group, self.group._add(h_part.point, u_part.point, "g1"), "g1"
+        )

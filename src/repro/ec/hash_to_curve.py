@@ -3,9 +3,9 @@
 The paper's ``H : {0,1}* -> G1`` is instantiated with the classic
 try-and-increment method (the construction PBC itself uses for type-A
 groups): hash the message with a counter to derive candidate x-coordinates,
-take the first x for which x³ + a·x + b is a quadratic residue, pick the
-canonical root, and clear the cofactor so the result lands in the order-r
-subgroup.
+take the first x for which x³ + a·x + b is a quadratic residue, and pick
+the canonical root.  Clearing the cofactor, so that the result lands in the
+order-r subgroup, is left to the pairing backend.
 """
 
 from __future__ import annotations
@@ -33,25 +33,21 @@ def hash_to_curve_try_increment(
     p: int,
     a: int,
     b: int,
-    cofactor: int,
     sqrt_mod,
     domain: bytes = b"repro-h2c-v1",
     max_attempts: int = 256,
 ) -> tuple[int, int]:
-    """Map a message to an affine point in the order-r subgroup.
+    """Map a message to an affine point of  y² = x³ + a·x + b  over F_p.
 
-    Returns raw affine coordinates ``(x, y)``; the caller wraps them in its
-    point type and applies the cofactor multiplication itself when
-    ``cofactor == 1`` is not guaranteed (this function already multiplies by
-    the cofactor via the caller-supplied group law only when asked — here we
-    return the *curve* point and leave cofactor clearing to the caller so the
-    function stays independent of point representation).
+    Returns raw affine coordinates ``(x, y)`` of a point in the full curve
+    group; a caller whose G1 is a proper subgroup clears the cofactor
+    itself (see :meth:`repro.pairing.type_a.TypeAPairingGroup.hash_msm`,
+    which clears it once for a whole product of hashes).
 
     Raises:
         RuntimeError: if no candidate x works within ``max_attempts``
             (probability ~2^-max_attempts for random oracles).
     """
-    del cofactor  # cofactor clearing is the caller's job; kept for API clarity
     bits = p.bit_length()
     for counter in range(max_attempts):
         x = _hash_to_int(message, counter, bits, domain) % p

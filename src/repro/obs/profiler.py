@@ -30,7 +30,10 @@ from repro.obs.tracer import OP_KEYS, Span
 #: same curve in the symmetric type-A setting, so it shares the G1 unit.
 #: ``exp_g1_msm`` is the amortized per-term cost inside a multi-scalar
 #: multiplication — far below a standalone exponentiation once Straus or
-#: Pippenger shares the doubling ladder across terms.
+#: Pippenger shares the doubling ladder across terms.  ``hash_to_g1`` is
+#: the try-and-increment alone: every hash also tallies the
+#: ``cofactor_clear`` that finishes it, except inside a fused hash-MSM,
+#: which clears once for all its messages.
 _PRIMITIVE_FOR_OP = {
     "exp_g1": "exp_g1",
     "exp_g1_fixed_base": "exp_g1_fixed_base",
@@ -38,6 +41,7 @@ _PRIMITIVE_FOR_OP = {
     "exp_g2": "exp_g1",
     "pairings": "pairing",
     "hash_to_g1": "hash_to_g1",
+    "cofactor_clear": "cofactor_clear",
     "mul_g1": "mul_g1",
 }
 
@@ -52,6 +56,7 @@ class PrimitiveCosts:
     hash_to_g1: float
     mul_g1: float
     exp_g1_msm: float = 0.0
+    cofactor_clear: float = 0.0
 
     def unit_cost(self, op_key: str) -> float:
         primitive = _PRIMITIVE_FOR_OP.get(op_key)
@@ -64,6 +69,7 @@ class PrimitiveCosts:
             "exp_g1_msm": self.exp_g1_msm,
             "pairing": self.pairing,
             "hash_to_g1": self.hash_to_g1,
+            "cofactor_clear": self.cofactor_clear,
             "mul_g1": self.mul_g1,
         }
 
@@ -101,9 +107,13 @@ def calibrate_primitive_costs(group, repeats: int = 8, rng=None) -> PrimitiveCos
 
         def _hash():
             tick[0] += 1
-            group.hash_to_g1(b"profile-calibrate-%d" % tick[0])
+            group._hash_to_curve(b"profile-calibrate-%d" % tick[0])
 
+        # A hash tallies one cofactor clearing too, so the hash unit is the
+        # try-and-increment alone and the clearing is priced on its own.
         hash_g1 = _time_loop(_hash, repeats)
+        raw = group._hash_to_curve(b"profile-calibrate-cofactor")
+        cofactor = _time_loop(lambda: group._clear_cofactor(raw), repeats)
         mul_g1 = _time_loop(lambda: g * h, repeats * 10)
         msm_points = [g, h] * 16
         msm_scalars = [group.random_nonzero_scalar(rng) for _ in msm_points]
@@ -119,6 +129,7 @@ def calibrate_primitive_costs(group, repeats: int = 8, rng=None) -> PrimitiveCos
         hash_to_g1=hash_g1,
         mul_g1=mul_g1,
         exp_g1_msm=exp_msm,
+        cofactor_clear=cofactor,
     )
 
 

@@ -36,6 +36,7 @@ OP_KEYS = (
     "pairings",
     "mul_g1",
     "hash_to_g1",
+    "cofactor_clear",
 )
 
 

@@ -70,13 +70,46 @@ class TypeAPairingGroup(PairingGroup):
 
         if self.counter is not None:
             self.counter.hash_to_g1 += 1
-        x, y = hash_to_curve_try_increment(data, self.q, 1, 0, self.params.h, sqrt_mod)
-        point = self._raw_scalar_mul((x, y), self.params.h)
+            self.counter.cofactor_clear += 1
+        point = self._clear_cofactor(self._hash_to_curve(data))
         if point is None:
             # Probability h/q ~ 2^-160: the hashed point was in the small
             # subgroup.  Retry with a domain-separated suffix.
             return self.hash_to_g1(data + b"\x00retry")
         return GroupElement(self, point, "g1")
+
+    def hash_msm(self, messages, exponents):
+        """∏ H(m_i)^{e_i} as  [h]·Σ (e_i mod r)·P_i,  clearing the cofactor once.
+
+        ``P_i`` is the raw try-and-increment point of ``m_i`` (in the full
+        curve group, order dividing h·r), so ``H(m_i) = [h]·P_i``.  Since
+        [h] is a homomorphism and [h]·P_i has order r, one MSM over the raw
+        points with exponents reduced mod r followed by a single [h]
+        multiplication gives exactly the point the per-message path gives —
+        except in :meth:`hash_to_g1`'s retry branch ([h]·P_i = O, probability
+        ~2^-160 per message), which this path does not detect.
+
+        Op-count cost: the per-message path's tallies (one ``hash_to_g1``
+        per message, one ``exp_g1_msm``/``exp_g1_skipped`` per term) plus a
+        single ``cofactor_clear``.
+        """
+        from repro.pairing.interface import GroupElement
+
+        self._check_msm_shape(len(messages), len(exponents))
+        reduced = [e % self.order for e in exponents]
+        if self.counter is not None:
+            self.counter.hash_to_g1 += len(messages)
+            self.counter.cofactor_clear += 1
+            self._tally_msm(reduced, "g1")
+        raw = [self._hash_to_curve(m) for m in messages]
+        return GroupElement(self, self._clear_cofactor(self._msm(raw, reduced, "g1")), "g1")
+
+    def _hash_to_curve(self, data: bytes):
+        """Try-and-increment onto E(F_q), before cofactor clearing."""
+        return hash_to_curve_try_increment(data, self.q, 1, 0, sqrt_mod)
+
+    def _clear_cofactor(self, point):
+        return self._raw_scalar_mul(point, self.params.h)
 
     # ------------------------------------------------------------------
     # Raw affine/Jacobian point arithmetic on y² = x³ + x  (a = 1, b = 0)
@@ -176,13 +209,17 @@ class TypeAPairingGroup(PairingGroup):
             return GroupElement(self, None, "g1")
         x = int.from_bytes(data[:-1], "big")
         sign = data[-1]
-        if not sign & 2:
+        if sign not in (2, 3):
             raise ValueError("bad compression tag")
+        if x >= self.q:
+            raise ValueError("x is not a canonical field element")
         rhs = (x * x * x + x) % self.q
         y = sqrt_mod(rhs, self.q)
         if y is None:
             raise ValueError("x is not on the curve")
         if y & 1 != sign & 1:
+            if y == 0:
+                raise ValueError("bad compression tag")
             y = self.q - y
         return GroupElement(self, (x, y), "g1")
 
@@ -196,48 +233,85 @@ class TypeAPairingGroup(PairingGroup):
         return self._final_exponentiation(f)
 
     def _miller_loop(self, p, q_point):
-        """f_{r,P}(φ(Q)) with denominator elimination.
+        """f_{r,P}(φ(Q)) up to an F_q factor, with denominator elimination.
 
-        Line through T (slope lam) evaluated at φ(Q) = (−xQ, i·yQ):
-            i·yQ − yT − lam·(−xQ − xT)  =  (lam·(xQ + xT) − yT)  +  i·yQ.
+        The line through T with slope λ, evaluated at φ(Q) = (−xQ, i·yQ), is
+            i·yQ − yT − λ·(−xQ − xT)  =  (λ·(xQ + xT) − yT)  +  i·yQ.
+        T stays in Jacobian coordinates (X, Y, Z), so λ is a fraction; each
+        line is multiplied by its denominator, an F_q factor that the final
+        exponentiation kills — no field inversion anywhere in the loop:
+
+        * doubling, λ = (3X² + Z⁴)/(2YZ), scaled by 2YZ·Z²:
+          (3X² + Z⁴)·(xQ·Z² + X) − 2Y²  +  i·yQ·2YZ·Z²;
+        * adding P, λ = (yP·Z³ − Y)/((xP·Z² − X)·Z), scaled by that
+          denominator D:  (yP·Z³ − Y)·(xQ + xP) − yP·D  +  i·yQ·D.
+
+        Raises:
+            ValueError: where the affine loop meets a non-invertible
+                denominator — T of order 2 at a doubling, or T = O before
+                the last step.  Both need P outside the order-r subgroup.
         """
         q = self.q
         xp, yp = p
         xq, yq = q_point
+        xqp = (xq + xp) % q
         fa, fb = 1, 0  # f = fa + fb·i
-        tx, ty = xp, yp
+        tx, ty, tz = xp, yp, 1
         r = self.order
         for bit_index in range(r.bit_length() - 2, -1, -1):
+            if ty == 0 or tz == 0:
+                raise ValueError("Miller loop reached a point of small order")
             # --- doubling step ---
-            lam = (3 * tx * tx + 1) * pow(2 * ty, -1, q) % q
-            la = (lam * (xq + tx) - ty) % q
-            lb = yq
-            # f = f² · (la + lb·i)
+            xx = tx * tx % q
+            yy = ty * ty % q
+            zz = tz * tz % q
+            m = (3 * xx + zz * zz) % q
+            s = 4 * tx * yy % q
+            nz = 2 * ty * tz % q
+            la = (m * (xq * zz + tx) - 2 * yy) % q
+            lb = yq * nz % q * zz % q
+            tx = (m * m - 2 * s) % q
+            ty = (m * (s - tx) - 8 * yy * yy) % q
+            tz = nz
+            # f = f² · (la + lb·i)  (Karatsuba: three products)
             sa = (fa + fb) * (fa - fb) % q
             sb = 2 * fa * fb % q
-            fa = (sa * la - sb * lb) % q
-            fb = (sa * lb + sb * la) % q
-            nx = (lam * lam - 2 * tx) % q
-            ty = (lam * (tx - nx) - ty) % q
-            tx = nx
+            t0 = sa * la
+            t1 = sb * lb
+            fa = (t0 - t1) % q
+            fb = ((sa + sb) * (la + lb) - t0 - t1) % q
             if (r >> bit_index) & 1:
                 # --- addition step: T + P ---
-                if tx == xp:
-                    if (ty + yp) % q == 0:
-                        # Vertical line: contributes an F_q factor, which the
-                        # final exponentiation kills; T becomes infinity.
-                        # This only happens at the very last iteration.
-                        tx, ty = None, None
+                zz = tz * tz % q
+                zzz = zz * tz % q
+                h = (xp * zz - tx) % q
+                rr = (yp * zzz - ty) % q
+                if h == 0:
+                    if (ty + yp * zzz) % q == 0:
+                        # T = −P: a vertical line, an F_q factor the final
+                        # exponentiation kills; T becomes O.  For P in the
+                        # subgroup this happens only at the last step.
+                        tz = 0
                         continue
-                    lam = (3 * tx * tx + 1) * pow(2 * ty, -1, q) % q
+                    # T = P (only off the subgroup): the tangent at P,
+                    # scaled by 2·yP.
+                    la = ((3 * xp * xp + 1) * xqp - 2 * yp * yp) % q
+                    lb = 2 * yp * yq % q
+                    tx, ty, tz = _jac_double(tx, ty, tz, q)
                 else:
-                    lam = (ty - yp) * pow(tx - xp, -1, q) % q
-                la = (lam * (xq + xp) - yp) % q
-                lb = yq
-                fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
-                nx = (lam * lam - tx - xp) % q
-                ty = (lam * (tx - nx) - ty) % q
-                tx = nx
+                    d = h * tz % q
+                    la = (rr * xqp - yp * d) % q
+                    lb = yq * d % q
+                    hh = h * h % q
+                    hhh = hh * h % q
+                    v = tx * hh % q
+                    tx = (rr * rr - hhh - 2 * v) % q
+                    ty = (rr * (v - tx) - ty * hhh) % q
+                    tz = d
+                t0 = fa * la
+                t1 = fb * lb
+                fb = ((fa + fb) * (la + lb) - t0 - t1) % q
+                fa = (t0 - t1) % q
         return (fa, fb)
 
     def _final_exponentiation(self, f):

@@ -1,6 +1,7 @@
 """Tests for the canonical binary serialization of protocol objects."""
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.core.serial import (
     write_varint,
 )
 from repro.core.verifier import PublicVerifier
+from repro.pairing.interface import GroupElement
 
 
 class TestVarint:
@@ -137,3 +139,55 @@ class TestResponseCodec:
     def test_wrong_magic(self, params_k4):
         with pytest.raises(ValueError):
             decode_response(b"NOPE!!", params_k4)
+
+
+def _audit_with_x_plus_q_sigma(group, params, n_tries=8):
+    """A valid audit plus a copy of its proof whose σ is re-encoded as x + q.
+
+    Only ~72 % of σ leave room for x + q in the fixed-width encoding, so
+    this walks fresh challenges until one does.
+    """
+    from repro.core.cloud import CloudServer
+
+    rng = random.Random(12)
+    sem = SecurityMediator(group, rng=rng, require_membership=False)
+    owner = DataOwner(params, sem.pk, rng=rng)
+    signed = owner.sign_file(b"malleable " * 3, b"mf", sem)
+    cloud = CloudServer(params, rng=rng)
+    cloud.store(signed)
+    verifier = PublicVerifier(params, sem.pk, rng=rng)
+    for _ in range(n_tries):
+        ch = verifier.generate_challenge(b"mf", len(signed.blocks))
+        proof = cloud.generate_proof(b"mf", ch)
+        x, y = proof.sigma.point
+        if x + group.q < 256 ** group._qbytes:
+            forged = ProofResponse(
+                sigma=GroupElement(group, (x + group.q, y), "g1"), alphas=proof.alphas
+            )
+            return verifier, ch, proof, forged
+    raise AssertionError("no σ with room for x + q")
+
+
+class TestCanonicalSigma:
+    """σ re-encoded with x + q in place of x must be refused at decode.
+
+    The Miller loop does no inversions, so the arithmetic cannot tell the
+    two encodings apart — the decoder is the gate against malleability.
+    """
+
+    def _check(self, group, params):
+        verifier, ch, proof, forged = _audit_with_x_plus_q_sigma(group, params)
+        canonical = encode_response(proof, params)
+        assert verifier.verify(ch, decode_response(canonical, params))
+        assert verifier.verify(ch, forged)  # why the decoder must refuse it
+        with pytest.raises(ValueError, match="canonical"):
+            decode_response(encode_response(forged, params), params)
+
+    def test_toy_64(self, group, params_k4):
+        self._check(group, params_k4)
+
+    @pytest.mark.slow
+    def test_paper_160(self, paper_group):
+        from repro.core.params import setup
+
+        self._check(paper_group, setup(paper_group, k=1))

@@ -92,6 +92,26 @@ class TestRender:
         assert "span" in text and "total" not in text
 
 
+class TestCofactorAttribution:
+    def test_fused_hash_prices_one_clearing(self):
+        costs = PrimitiveCosts(
+            exp_g1=0.5, exp_g1_fixed_base=0.25, pairing=2.0, hash_to_g1=0.1,
+            mul_g1=0.01, cofactor_clear=0.4,
+        )
+        counter = OperationCounter()
+        tracer = Tracer(clock=FakeClock(), counter=counter)
+        with tracer.span("per_id"):
+            counter.hash_to_g1 += 4
+            counter.cofactor_clear += 4
+        with tracer.span("fused"):
+            counter.hash_to_g1 += 4
+            counter.cofactor_clear += 1
+        per_id, fused = build_profile(tracer, costs)
+        assert per_id.attributed_s == 4 * 0.1 + 4 * 0.4
+        assert fused.attributed_s == 4 * 0.1 + 0.4
+        assert "cofactor_clear 1x=400.00ms" in render_profile([per_id, fused])
+
+
 class TestCalibration:
     def test_costs_positive_and_counter_untouched(self, group, rng):
         counter = OperationCounter()
@@ -108,3 +128,4 @@ class TestCalibration:
         assert all(value > 0 for value in costs.as_dict().values())
         assert costs.unit_cost("exp_g2") == costs.exp_g1  # symmetric type A
         assert costs.unit_cost("exp_g1_skipped") == 0.0
+        assert costs.unit_cost("cofactor_clear") == costs.cofactor_clear

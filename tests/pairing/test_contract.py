@@ -57,6 +57,13 @@ class TestGroupContract:
         assert h1 == h2 != h3
         assert (h1**backend.order).is_identity()
 
+    def test_hash_msm_contract(self, backend):
+        a, b = backend.hash_to_g1(b"a"), backend.hash_to_g1(b"b")
+        assert backend.hash_msm([b"a", b"b"], [3, -2]) == a**3 * b**-2
+        assert backend.hash_to_g1(b"a").point == backend._clear_cofactor(
+            backend._hash_to_curve(b"a")
+        )
+
     def test_random_scalars_in_range(self, backend):
         rng = random.Random(1)
         for _ in range(10):

@@ -128,6 +128,27 @@ class TestHashAndSerialization:
         with pytest.raises(ValueError):
             g.deserialize_g1(b"\x01")
 
+    @pytest.mark.parametrize("tag", [0x00, 0x01, 0x04, 0x06, 0x07, 0x12, 0xFF])
+    def test_deserialize_rejects_unknown_tags(self, g, tag):
+        data = g.random_g1().to_bytes()
+        with pytest.raises(ValueError, match="compression tag"):
+            g.deserialize_g1(data[:-1] + bytes([tag]))
+
+    def test_deserialize_rejects_unreduced_x(self, g):
+        x, y = g.random_g1().point
+        for bad_x in (g.q, x + g.q):
+            if bad_x >= 256 ** g._qbytes:
+                continue
+            data = bad_x.to_bytes(g._qbytes, "big") + bytes([2 | (y & 1)])
+            with pytest.raises(ValueError, match="canonical"):
+                g.deserialize_g1(data)
+
+    def test_deserialize_rejects_odd_tag_for_zero_y(self, g):
+        # (0, 0) is on y² = x³ + x; "odd y" would decode it to (0, q).
+        assert g.deserialize_g1(bytes(g._qbytes) + b"\x02").point == (0, 0)
+        with pytest.raises(ValueError, match="compression tag"):
+            g.deserialize_g1(bytes(g._qbytes) + b"\x03")
+
     def test_element_hash_consistency(self, g):
         p = g.random_g1()
         q = p * g.g1_identity()
@@ -161,7 +182,7 @@ class TestOperationCounter:
         assert counter.snapshot() == {
             "exp_g1": 0, "exp_g1_fixed_base": 0, "exp_g1_msm": 0,
             "exp_g1_skipped": 0, "exp_g2": 0, "exp_gt": 0,
-            "pairings": 0, "mul_g1": 0, "hash_to_g1": 0,
+            "pairings": 0, "mul_g1": 0, "hash_to_g1": 0, "cofactor_clear": 0,
         }
 
     def test_detached_counts_nothing(self, g):
