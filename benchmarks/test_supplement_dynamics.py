@@ -3,7 +3,8 @@
 Two questions the paper leaves open when it says dynamics "can be easily
 supported": (1) what does one in-place update cost versus re-signing the
 whole file, and (2) how much bigger are dynamic audit proofs (which add a
-Merkle path per challenged block plus one signed root)?
+rank path per challenged block plus one signed root)?  Both run on the
+dynamic tier, :mod:`repro.dynamic`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import pytest
 from benchmarks.conftest import record_report
 from repro.core.owner import DataOwner
 from repro.core.sem import SecurityMediator
-from repro.dynamics import DynamicCloudServer, DynamicFileClient, DynamicVerifier
-from repro.net.message import payload_size
+from repro.dynamic import DynamicAuditor, DynamicStore, UpdateOp
 
 N_BLOCKS = 24
 K = 8
@@ -35,30 +35,21 @@ def test_dynamics_update_vs_resign_all(benchmark, fast_group, paper_params_facto
         rng = random.Random(10)
         sem = SecurityMediator(fast_group, rng=rng, require_membership=False)
         owner = DataOwner(params, sem.pk, rng=rng)
-        client = DynamicFileClient(params, owner, sem, b"dyn")
-        cloud = DynamicCloudServer(params)
-        verifier = DynamicVerifier(params, sem.pk)
+        store = DynamicStore(params, sem, owner)
+        auditor = DynamicAuditor(params, sem.pk, rng=rng)
         chunks = [b"chunk-%03d" % i for i in range(N_BLOCKS)]
         start = time.perf_counter()
-        blocks, sigs, mutation = client.create(chunks)
+        auditor.pin_receipt(store.create(b"dyn", chunks))
         outcome["create (= re-sign all)"] = time.perf_counter() - start
-        cloud.create_file(b"dyn", blocks, sigs, mutation)
         start = time.perf_counter()
-        cloud.apply(b"dyn", client.update(3, b"edited"))
+        auditor.pin_receipt(store.update(b"dyn", [UpdateOp("modify", 3, b"edited")]))
         outcome["one update"] = time.perf_counter() - start
         # Proof-size comparison: dynamic proof vs bare static response.
-        ch = verifier.generate_challenge(N_BLOCKS, sample_size=8, rng=rng)
-        proof = cloud.generate_proof(b"dyn", ch)
-        assert verifier.verify(b"dyn", ch, proof)
-        outcome["static response bytes"] = payload_size(proof.response)
-        outcome["dynamic proof bytes"] = (
-            payload_size(proof.response)
-            + sum(p.wire_size_bytes() for p in proof.paths)
-            + sum(len(i) for i in proof.block_ids)
-            + len(proof.root)
-            + payload_size(proof.root_signature)
-            + 8
-        )
+        ch = auditor.generate_challenge(b"dyn", sample_size=8)
+        proof = store.generate_proof(b"dyn", ch)
+        assert auditor.verify(b"dyn", ch, proof)
+        outcome["static response bytes"] = proof.response.wire_size_bytes()
+        outcome["dynamic proof bytes"] = proof.wire_size_bytes()
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     # One update is far cheaper than re-signing the file.
@@ -71,6 +62,6 @@ def test_dynamics_update_vs_resign_all(benchmark, fast_group, paper_params_facto
             "(1 block + 1 root re-signed)",
             f"audit proof size: static {outcome['static response bytes']} B -> "
             f"dynamic {outcome['dynamic proof bytes']} B "
-            "(Merkle paths + signed root)",
+            "(rank paths + signed root)",
         ],
     )

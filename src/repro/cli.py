@@ -569,6 +569,7 @@ def _parse_update_ops(args) -> list:
 
 def cmd_update(args) -> int:
     """Apply one atomic update batch to a dynamic file (k + 1 signatures)."""
+    from repro.core.blindsign import BlindSignatureError
     from repro.dynamic import DynamicFileError, DynamicStore
 
     root = Path(args.state_dir)
@@ -581,7 +582,7 @@ def cmd_update(args) -> int:
     store.adopt(_load_dynamic(root, params, args.file_id))
     try:
         receipt = store.update(args.file_id.encode(), ops)
-    except DynamicFileError as exc:
+    except (DynamicFileError, BlindSignatureError) as exc:
         raise CliError(str(exc)) from None
     _save_dynamic(root, params, args.file_id, store.file_state(args.file_id.encode()))
     _pin_dynamic(state, args.file_id, receipt)

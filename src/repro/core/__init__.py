@@ -15,6 +15,8 @@ Response       :meth:`repro.core.cloud.CloudServer.generate_proof`
 Verify         :meth:`repro.core.verifier.PublicVerifier.verify`
 =============  =====================================================
 
+Blind, Sign, the Eq. 7 batch check and Unblind run as one round,
+:class:`repro.core.blindsign.BlindSignRound`, which every signer shares.
 Section V's multi-SEM variants (Setup′..Verify′) live in
 :mod:`repro.core.multi_sem`.  :mod:`repro.core.protocol` offers a one-stop
 facade (:class:`~repro.core.protocol.SemPdpSystem`) tying the actors
@@ -24,6 +26,7 @@ machinery (member join / instant revocation) of Section IV-C.
 
 from repro.core.params import SystemParams, setup
 from repro.core.blocks import Block, encode_data, decode_data, aggregate_block
+from repro.core.blindsign import BlindSignatureError, BlindSignRound
 from repro.core.challenge import Challenge, ProofResponse
 from repro.core.owner import DataOwner, SignedFile
 from repro.core.sem import SecurityMediator, RevokedMemberError, UnknownMemberError
@@ -42,6 +45,8 @@ __all__ = [
     "encode_data",
     "decode_data",
     "aggregate_block",
+    "BlindSignRound",
+    "BlindSignatureError",
     "Challenge",
     "ProofResponse",
     "DataOwner",

@@ -5,7 +5,10 @@ For each block the owner (1) aggregates the k elements into one G1 value,
 (2) blinds it (Eq. 2), (3) obtains σ̃ from the SEM (Eq. 3), and (4) checks
 and unblinds it (Eq. 4/5).  With ``batch=True`` step (4) verifies all n
 blind signatures at once (Eq. 7) — the "Our Scheme*" optimization that
-Figure 4(a) shows closes the gap with SW08.
+Figure 4(a) shows closes the gap with SW08.  All four steps run through
+the owner's :class:`~repro.core.blindsign.BlindSignRound`
+(:meth:`DataOwner.signing_round`), which every other signer that acts for
+an owner reuses.
 
 The optional data-privacy layer (Section IV-C) encrypts the payload with
 ChaCha20 before any of this happens, so neither the SEM nor the cloud ever
@@ -15,11 +18,12 @@ sees plaintext.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.blocks import Block, aggregate_block, encode_data
+from repro.core.blindsign import BlindSignRound
+from repro.core.blocks import Block, encode_data
 from repro.core.params import SystemParams
-from repro.crypto.blind_bls import BlindingState, batch_unblind_verify, blind, unblind
+from repro.crypto.blind_bls import BlindingState, unblind
 from repro.crypto.symmetric import chacha20_decrypt, chacha20_encrypt
 from repro.pairing.interface import GroupElement
 
@@ -46,8 +50,6 @@ class OwnerStats:
     blocks: int = 0
     bytes_to_sem: int = 0
     bytes_from_sem: int = 0
-    resigned_blocks: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class DataOwner:
@@ -90,18 +92,16 @@ class DataOwner:
 
             self._tables = build_tables_fast(list(params.u), params.order.bit_length())
 
-    # -- single-block primitives (the paper's algorithms) -------------------
-    def aggregate(self, block: Block) -> GroupElement:
-        """H(id)·∏u^m — via fixed-base tables when enabled."""
-        if self._tables is not None:
-            from repro.ec.fixed_base import aggregate_with_tables
-
-            return aggregate_with_tables(self.params, block, self._tables)
-        return aggregate_block(self.params, block)
+    # -- the blind-sign round and its single-block primitives ---------------
+    def signing_round(self, sem_pk_g1: GroupElement | None = None) -> BlindSignRound:
+        """This owner's round: its rng, its u-tables, and its pool."""
+        return BlindSignRound(self.params, self.sem_pk, pk1=sem_pk_g1, rng=self._rng,
+                              u_tables=self._tables, pool=self.pool)
 
     def blind_block(self, block: Block) -> BlindingState:
         """Blind (Eq. 2): aggregate the block, then blind the aggregate."""
-        return blind(self.group, self.aggregate(block), self._rng)
+        (state,) = self.signing_round().prepare([block])
+        return state
 
     def unblind(
         self,
@@ -150,69 +150,19 @@ class DataOwner:
             data = chacha20_encrypt(encrypt_key, nonce, data)
             encrypted = True
         blocks = encode_data(data, self.params, file_id)
-        states = self._blind_all(blocks)
-        blinded = [s.blinded for s in states]
         element_size = self.group.g1_element_bytes()
         self.stats.blocks += len(blocks)
         self.stats.bytes_to_sem += element_size * len(blocks)
-        blind_signatures = sem.sign_blinded_batch(blinded, self.credential)
-        self.stats.bytes_from_sem += element_size * len(blind_signatures)
-        if batch:
-            if not batch_unblind_verify(
-                self.group, blinded, blind_signatures, self.sem_pk, self._rng,
-                pool=self.pool,
-            ):
-                raise ValueError("batch verification of blind signatures failed (Eq. 7)")
-            signatures = self._unblind_all(states, blind_signatures, sem_pk_g1)
-        else:
-            signatures = tuple(
-                self.unblind(s, bs, check=True, sem_pk_g1=sem_pk_g1)
-                for s, bs in zip(states, blind_signatures)
-            )
+        signatures = self.signing_round(sem_pk_g1).run(
+            sem, blocks, credential=self.credential, batch=batch
+        )
+        self.stats.bytes_from_sem += element_size * len(signatures)
         return SignedFile(
             file_id=file_id,
             blocks=tuple(blocks),
-            signatures=signatures,
+            signatures=tuple(signatures),
             encrypted=encrypted,
             nonce=nonce,
-        )
-
-    # -- parallel fan-out helpers ------------------------------------------
-    def _blind_all(self, blocks: list[Block]) -> list[BlindingState]:
-        """Blind every block, fanning the aggregation out when pooled.
-
-        The blinding factors are always drawn here, sequentially, so a
-        seeded run consumes the rng stream identically at any worker count
-        and signatures come out bit-for-bit equal.
-        """
-        if self.pool is None:
-            return [self.blind_block(block) for block in blocks]
-        rs = [self.group.random_nonzero_scalar(self._rng) for _ in blocks]
-        blinded = self.pool.blind_blocks(blocks, rs)
-        if blinded is None:  # pool chose the inline path
-            return [
-                BlindingState(r=r, blinded=self.aggregate(b) * self.group.g1() ** r)
-                for b, r in zip(blocks, rs)
-            ]
-        return [BlindingState(r=r, blinded=m) for r, m in zip(rs, blinded)]
-
-    def _unblind_all(self, states, blind_signatures, sem_pk_g1) -> tuple:
-        """Unblind every signature (Eq. 5), fanned out when pooled."""
-        if self.pool is not None:
-            pk1 = sem_pk_g1
-            if pk1 is None and self.group.is_symmetric:
-                from repro.pairing.interface import GroupElement as _GE
-
-                pk1 = _GE(self.group, self.sem_pk.point, "g1")
-            if pk1 is not None:
-                result = self.pool.unblind_batch(
-                    states, blind_signatures, self.sem_pk, pk1
-                )
-                if result is not None:
-                    return tuple(result)
-        return tuple(
-            self.unblind(s, bs, check=False, sem_pk_g1=sem_pk_g1)
-            for s, bs in zip(states, blind_signatures)
         )
 
     @staticmethod

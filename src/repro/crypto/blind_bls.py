@@ -42,6 +42,19 @@ from dataclasses import dataclass
 from repro.pairing.interface import GroupElement, PairingGroup
 
 
+class BlindSignatureError(ValueError):
+    """The signer's blind signatures failed Eq. 7 (or per-item Eq. 4).
+
+    The paper's prescription: discard them and re-request from the SEM.
+    """
+
+    def __init__(self):
+        super().__init__(
+            "blind signatures failed verification (Eq. 7 / Eq. 4); "
+            "discard and re-request from the SEM"
+        )
+
+
 @dataclass(frozen=True)
 class BlindingState:
     """The owner's secret per-message blinding state."""
@@ -87,11 +100,11 @@ def unblind(
             which is correct on symmetric groups.
 
     Raises:
-        ValueError: if ``check`` is set and the blind signature fails Eq. 4
-            (the paper's prescription: discard and re-request).
+        BlindSignatureError: if ``check`` is set and the blind signature
+            fails Eq. 4.
     """
     if check and not verify_blinded(group, state.blinded, blind_signature, pk):
-        raise ValueError("blind signature failed verification (Eq. 4); re-request from SEM")
+        raise BlindSignatureError()
     if pk1 is None:
         if not group.is_symmetric:
             raise ValueError("asymmetric groups require the G1 public key pk1")

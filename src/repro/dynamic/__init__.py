@@ -1,8 +1,8 @@
 """Dynamic PDP tier: rank-authenticated updates with batched re-signing.
 
-This package is the production dynamic-data subsystem (ROADMAP "dynamic
-data" item; Gritti et al.'s rank-based construction from PAPERS.md).  It
-supersedes the :mod:`repro.dynamics` prototype in three ways:
+This package is the dynamic-data subsystem (Gritti et al.'s rank-based
+construction from PAPERS.md; it replaced an earlier plain-Merkle-tree
+prototype):
 
 * the Merkle tree over block indices is **rank-annotated** — every
   interior node hash seals its children's leaf counts, so an inclusion

@@ -1,10 +1,9 @@
 """Rank-annotated Merkle tree over an ordered sequence of byte leaves.
 
-The plain Merkle tree in :mod:`repro.dynamics.merkle` authenticates
-*which* identifiers are under the root but trusts the path's claimed
-index to pick the left/right hashing order — fine for static files,
-insufficient once blocks shift.  Here every interior node hash seals the
-**leaf counts** of both children::
+A plain Merkle tree authenticates *which* identifiers are under the
+root but trusts the path's claimed index to pick the left/right hashing
+order — fine for static files, insufficient once blocks shift.  Here
+every interior node hash seals the **leaf counts** of both children::
 
     leaf:  H(0x00 || leaf)                                   count 1
     node:  H(0x01 || be8(lc) || lh || be8(rc) || rh)         count lc+rc
@@ -18,9 +17,8 @@ forgery changes a node preimage and breaks the root hash.  The total
 count derived at the root also authenticates the file's length, so a
 truncated file cannot masquerade as the full one.
 
-Like the prototype tree, mutation is an O(n) rebuild (microseconds at
-this reproduction's block counts, and far easier to audit than node
-surgery); proofs and verification are O(log n).  Odd nodes are promoted
+Mutation is an O(n) rebuild (microseconds at this reproduction's block
+counts, and far easier to audit than node surgery); proofs and verification are O(log n).  Odd nodes are promoted
 unchanged — never duplicated — which is what keeps the Bitcoin-style
 duplication mutation impossible here too.
 """

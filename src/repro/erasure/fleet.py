@@ -235,20 +235,10 @@ class FleetStore:
         return self._codes[key]
 
     def _sign_blocks(self, blocks: list[Block]):
-        """The SEM batch path: blind → batch-sign → batch-verify → unblind."""
-        from repro.crypto.blind_bls import batch_unblind_verify, unblind
-
-        states = [self.owner.blind_block(block) for block in blocks]
-        blinded = [s.blinded for s in states]
-        blind_signatures = self.sem.sign_blinded_batch(blinded, self.owner.credential)
-        if not batch_unblind_verify(
-            self.group, blinded, blind_signatures, self.owner.sem_pk, self._rng
-        ):
-            raise ValueError("batch verification of blind signatures failed")
-        return [
-            unblind(self.group, s, bs, self.owner.sem_pk, check=False)
-            for s, bs in zip(states, blind_signatures)
-        ]
+        """The owner's blind-sign round, with Eq. 7's γ from this store's rng."""
+        return self.owner.signing_round().run(
+            self.sem, blocks, credential=self.owner.credential, gamma_rng=self._rng
+        )
 
     def _record_trip(self, index: int, round_: int, streak: int) -> None:
         if self.ledger is not None:

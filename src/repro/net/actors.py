@@ -16,19 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.blindsign import BlindSignRound
 from repro.core.blocks import Block, encode_data
 from repro.core.cloud import CloudServer
 from repro.core.owner import SignedFile
 from repro.core.params import SystemParams
 from repro.core.verifier import PublicVerifier
-from repro.crypto.blind_bls import batch_unblind_verify, blind, unblind
 from repro.crypto.threshold import ThresholdKeyShares, combine_shares, verify_share
 from repro.mathkit.poly import lagrange_basis_at_zero
 from repro.net.channel import Channel
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.simulator import Simulator
-from repro.core.blocks import aggregate_block
 
 
 @dataclass
@@ -105,7 +104,7 @@ class OwnerNode(Node):
         self.cloud_name = cloud_name
         self.key_shares = key_shares
         self.sem_abscissae = sem_abscissae or {}
-        self._rng = rng
+        self._round = BlindSignRound(params, org_pk, pk1=org_pk_g1, rng=rng)
         self.retry_timeout_s = retry_timeout_s
         self.max_retries = max_retries
         self._pending: _PendingUpload | None = None
@@ -122,10 +121,7 @@ class OwnerNode(Node):
         if self._pending is not None:
             raise RuntimeError("an upload is already in flight")
         blocks = encode_data(data, self.params, file_id)
-        states = [
-            blind(self.group, aggregate_block(self.params, block), self._rng)
-            for block in blocks
-        ]
+        states = self._round.prepare(blocks)
         self._pending = _PendingUpload(
             file_id=file_id, blocks=blocks, states=states, shares={}
         )
@@ -170,12 +166,7 @@ class OwnerNode(Node):
             blind_signatures = self._combine(blinded, pending.shares)
             if blind_signatures is None:
                 return None  # wait for more shares
-        if not batch_unblind_verify(self.group, blinded, blind_signatures, self.org_pk, self._rng):
-            raise ValueError("batch verification failed at owner")
-        signatures = tuple(
-            unblind(self.group, s, bs, self.org_pk, pk1=self.org_pk_g1, check=False)
-            for s, bs in zip(pending.states, blind_signatures)
-        )
+        signatures = tuple(self._round.finish(pending.states, blind_signatures))
         pending.signed = SignedFile(
             file_id=pending.file_id, blocks=tuple(pending.blocks), signatures=signatures
         )

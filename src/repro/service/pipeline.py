@@ -2,8 +2,8 @@
 
 One batch = one pass over every pending request's items:
 
-1. **aggregate** all ``blocks``-kind items to G1 via the worker pool,
-   amortizing the u_1..u_k fixed-base tables across the whole batch;
+1. **aggregate** all ``blocks``-kind items to G1 through the u_1..u_k
+   fixed-base tables, amortized across the whole batch;
 2. **blind** them (Eq. 2) through a fixed-base table for g1 — the blinding
    base never changes, so each blinding costs table lookups;
 3. **sign** every blinded element of the batch in a *single*
@@ -16,26 +16,25 @@ One batch = one pass over every pending request's items:
 5. **unblind** (Eq. 5) through a fixed-base table for pk1 = g1^y — again a
    fixed base, again amortized.
 
-The sequential path (:meth:`SigningPipeline.sign_sequential`) is the
-baseline the service throughput benchmark compares against: per-request
-transport calls, no tables, per-signature Eq. 4 checks.
+Stages 1–2 and 4–5 are the two halves of the shared
+:class:`~repro.core.blindsign.BlindSignRound`; only the per-item
+isolation is the pipeline's own.  The sequential path
+(:meth:`SigningPipeline.sign_sequential`) is the baseline the service
+throughput benchmark compares against: per-request transport calls, no
+tables, per-signature Eq. 4 checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.blindsign import BlindSignatureError, BlindSignRound
 from repro.core.params import SystemParams
-from repro.crypto.blind_bls import (
-    BlindingState,
-    batch_unblind_verify,
-    verify_blinded,
-)
+from repro.crypto.blind_bls import verify_blinded
 from repro.ec.fixed_base import FixedBaseTable, build_tables
 from repro.obs import NULL_OBS
 from repro.pairing.interface import GroupElement
 from repro.service.api import SignRequest
-from repro.service.workers import InlineWorkerPool
 
 
 class PipelineError(Exception):
@@ -81,8 +80,6 @@ class SigningPipeline:
             enforce membership at admission and call a trusted SEM.
         use_fixed_base: precompute tables for u_1..u_k, g1, and pk1.
         rng: randomness source for blinding factors and Eq. 7 coefficients.
-        workers: a worker pool for block aggregation; defaults to an
-            inline pool sharing the u-tables.
     """
 
     def __init__(
@@ -93,9 +90,7 @@ class SigningPipeline:
         org_pk_g1: GroupElement | None = None,
         credential=None,
         use_fixed_base: bool = True,
-        window: int = 4,
         rng=None,
-        workers=None,
         obs=None,
     ):
         self.obs = obs if obs is not None else NULL_OBS
@@ -104,88 +99,82 @@ class SigningPipeline:
         self.sem = sem
         self.org_pk = org_pk
         self.credential = credential
-        self._rng = rng
         if org_pk_g1 is None:
             if not self.group.is_symmetric:
                 raise ValueError("asymmetric groups require org_pk_g1 = g1^y")
             org_pk_g1 = GroupElement(self.group, org_pk.point, "g1")
         self.org_pk_g1 = org_pk_g1
-        bits = self.group.order.bit_length()
-        self._u_tables = None
-        self._g1_table = None
-        self._pk1_table = None
+        tables = {}
         if use_fixed_base:
-            self._u_tables = build_tables(list(params.u), bits, window=window)
-            self._g1_table = FixedBaseTable(self.group.g1(), bits, window=window)
-            self._pk1_table = FixedBaseTable(org_pk_g1, bits, window=window)
-        if workers is None:
-            workers = InlineWorkerPool(params, tables=self._u_tables)
-        self.workers = workers
+            bits = self.group.order.bit_length()
+            tables = dict(
+                u_tables=build_tables(list(params.u), bits),
+                g1_table=FixedBaseTable(self.group.g1(), bits),
+                pk1_table=FixedBaseTable(org_pk_g1, bits),
+            )
+        self._round = BlindSignRound(params, org_pk, pk1=org_pk_g1, rng=rng, **tables)
+        # The per-request baseline: same keys and rng stream, no tables.
+        self._plain_round = BlindSignRound(params, org_pk, pk1=org_pk_g1, rng=rng)
 
     # -- the batched pass ---------------------------------------------------
     def prepare_batch(self, requests: list[SignRequest]) -> PreparedBatch:
-        """Stages 1–2: aggregate (worker pool, u-tables) and blind (g1 table)."""
+        """Stages 1–2: aggregate (u-tables) and blind (g1 table)."""
         all_blocks = [b for r in requests for b in r.blocks]
         with self.obs.tracer.span(
             "batch.prepare", n_requests=len(requests), n_blocks=len(all_blocks)
         ):
-            aggregates = iter(self.workers.aggregate_blocks(all_blocks))
+            block_states = iter(self._round.prepare(all_blocks))
+            states: list = []
             blinded: list[GroupElement] = []
-            states: list[BlindingState | None] = []  # None = already blinded
             for request in requests:
                 if request.kind == "blocks":
                     for _ in request.blocks:
-                        state = self._blind(next(aggregates))
+                        state = next(block_states)
                         states.append(state)
                         blinded.append(state.blinded)
                 else:
-                    for element in request.blinded:
-                        states.append(None)
-                        blinded.append(element)
+                    states.extend([None] * len(request.blinded))
+                    blinded.extend(request.blinded)
         return PreparedBatch(requests=list(requests), blinded=blinded, states=states)
 
     def finish_batch(
         self, prepared: PreparedBatch, blind_signatures: list[GroupElement]
     ) -> list[PipelineResult]:
-        """Stages 4–5: Eq. 7 batch verification, unblinding, regrouping."""
+        """Stages 4–5: Eq. 7 batch verification, unblinding, regrouping.
+
+        When Eq. 7 fails, every item is re-checked with Eq. 4 so one bad
+        signature fails only its own request.
+        """
         if len(blind_signatures) != len(prepared.blinded):
             raise PipelineError(
                 f"transport returned {len(blind_signatures)} signatures "
                 f"for {len(prepared.blinded)} messages"
             )
         with self.obs.tracer.span("batch.finish", n_items=len(prepared.blinded)) as span:
-            item_ok = self._verify_or_isolate(prepared.blinded, blind_signatures)
+            try:
+                self._round.check(prepared.blinded, blind_signatures)
+                item_ok = [True] * len(blind_signatures)
+            except BlindSignatureError:
+                item_ok = [
+                    verify_blinded(self.group, m, s, self.org_pk)
+                    for m, s in zip(prepared.blinded, blind_signatures)
+                ]
             span.set(n_invalid=item_ok.count(False))
-            return self._regroup(prepared, blind_signatures, item_ok)
-
-    def _regroup(self, prepared, blind_signatures, item_ok) -> list[PipelineResult]:
-        results: list[PipelineResult] = []
-        cursor = 0
-        for request in prepared.requests:
-            n = request.n_items
-            ok = all(item_ok[cursor : cursor + n])
-            if not ok:
-                results.append(
-                    PipelineResult(
-                        request_id=request.request_id,
-                        signatures=None,
-                        ok=False,
-                        error="blind signature failed verification (Eq. 4/7)",
-                    )
-                )
-            else:
-                signatures = tuple(
-                    self._unblind(state, sig) if state is not None else sig
-                    for state, sig in zip(
-                        prepared.states[cursor : cursor + n],
-                        blind_signatures[cursor : cursor + n],
-                    )
-                )
-                results.append(
-                    PipelineResult(request_id=request.request_id, signatures=signatures, ok=True)
-                )
-            cursor += n
-        return results
+            results: list[PipelineResult] = []
+            cursor = 0
+            for request in prepared.requests:
+                items = slice(cursor, cursor + request.n_items)
+                cursor += request.n_items
+                if not all(item_ok[items]):
+                    results.append(_failed(request))
+                    continue
+                signatures = blind_signatures[items]
+                if request.kind == "blocks":
+                    signatures = self._round.unblind(prepared.states[items], signatures)
+                results.append(PipelineResult(
+                    request_id=request.request_id, signatures=tuple(signatures), ok=True
+                ))
+            return results
 
     def sign_batch(self, requests: list[SignRequest]) -> list[PipelineResult]:
         """Run one vectorized pass over every item of every request.
@@ -211,55 +200,27 @@ class SigningPipeline:
         library port of the paper does per request, and the baseline the
         throughput benchmark measures the batch pass against.
         """
-        from repro.core.blocks import aggregate_block
-
-        signatures = []
-        items: list[tuple[BlindingState | None, GroupElement]] = []
+        plain = self._plain_round
         if request.kind == "blocks":
-            for block in request.blocks:
-                state = BlindingState(
-                    r=(r := self.group.random_nonzero_scalar(self._rng)),
-                    blinded=aggregate_block(self.params, block) * self.group.g1() ** r,
-                )
-                items.append((state, state.blinded))
+            states = plain.prepare(list(request.blocks))
+            blinded = [s.blinded for s in states]
         else:
-            items = [(None, element) for element in request.blinded]
-        for state, element in items:
-            (blind_signature,) = self.sem.sign_blinded_batch([element], self.credential)
-            if not verify_blinded(self.group, element, blind_signature, self.org_pk):
-                return PipelineResult(
-                    request_id=request.request_id,
-                    signatures=None,
-                    ok=False,
-                    error="blind signature failed verification (Eq. 4)",
-                )
-            if state is None:
-                signatures.append(blind_signature)
-            else:
-                signatures.append(
-                    blind_signature
-                    * self.org_pk_g1 ** (self.group.order - state.r % self.group.order)
-                )
+            states, blinded = [None] * len(request.blinded), list(request.blinded)
+        signatures = []
+        for state, element in zip(states, blinded):
+            blind_signature = self.sem.sign_blinded_batch([element], self.credential)
+            try:
+                plain.check([element], blind_signature, batch=False)
+            except BlindSignatureError:
+                return _failed(request)
+            if state is not None:
+                blind_signature = plain.unblind([state], blind_signature)
+            signatures.extend(blind_signature)
         return PipelineResult(
             request_id=request.request_id, signatures=tuple(signatures), ok=True
         )
 
-    # -- internals ----------------------------------------------------------
-    def _blind(self, element: GroupElement) -> BlindingState:
-        r = self.group.random_nonzero_scalar(self._rng)
-        mask = self._g1_table.power(r) if self._g1_table is not None else self.group.g1() ** r
-        return BlindingState(r=r, blinded=element * mask)
 
-    def _unblind(self, state: BlindingState, blind_signature: GroupElement) -> GroupElement:
-        exponent = self.group.order - state.r % self.group.order
-        if self._pk1_table is not None:
-            return blind_signature * self._pk1_table.power(exponent)
-        return blind_signature * self.org_pk_g1**exponent
-
-    def _verify_or_isolate(self, blinded, blind_signatures) -> list[bool]:
-        if batch_unblind_verify(self.group, blinded, blind_signatures, self.org_pk, self._rng):
-            return [True] * len(blinded)
-        return [
-            verify_blinded(self.group, m, s, self.org_pk)
-            for m, s in zip(blinded, blind_signatures)
-        ]
+def _failed(request: SignRequest) -> PipelineResult:
+    return PipelineResult(request_id=request.request_id, signatures=None, ok=False,
+                          error=str(BlindSignatureError()))

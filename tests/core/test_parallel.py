@@ -124,6 +124,70 @@ def _run_system(workers, data, table_cache_dir=None):
 DATA = b"shared document payload " * 40
 
 
+def _counted(params):
+    counter = OperationCounter()
+    params.group.attach_counter(counter)
+    return counter
+
+
+def _run_dynamic(workers):
+    """A create + 8-block update through a pooled owner's round."""
+    from repro.core.owner import DataOwner
+    from repro.core.sem import SecurityMediator
+    from repro.dynamic import DynamicStore, UpdateOp
+
+    params = setup(_fresh_group(), 4)
+    counter = _counted(params)
+    rng = random.Random(13)
+    sem = SecurityMediator(params.group, rng=rng, require_membership=False)
+    with WorkerPool(params, workers) as pool:
+        store = DynamicStore(params, sem, DataOwner(params, sem.pk, rng=rng, pool=pool))
+        store.create(b"dyn", [b"chunk-%02d" % i for i in range(10)])
+        store.update(b"dyn", [UpdateOp("modify", i, b"edit-%d" % i) for i in range(8)])
+        forked = pool._pool is not None
+    state = store.file_state(b"dyn")
+    signatures = [state.signatures[s].point for s, _ in state.slots]
+    return forked, signatures + [state.root_signature.point], counter.snapshot()
+
+
+def _run_fleet(workers):
+    """One striped store through the fleet's internal pool."""
+    from repro.erasure.fleet import build_demo_fleet
+
+    fleet = build_demo_fleet(servers=4, parity=2, spares=1, seed=11, workers=workers)
+    counter = _counted(fleet.params)
+    fleet.store(DATA, b"fleet")
+    forked = fleet.pool is not None and fleet.pool._pool is not None
+    placement = fleet.placements.get(b"fleet")
+    signatures = [
+        sig.point
+        for slot, name in enumerate(placement.servers)
+        for sig in fleet.handles[name].server.retrieve(placement.slice_id(slot)).signatures
+    ]
+    fleet.close()
+    return forked, signatures, counter.snapshot()
+
+
+def _run_shared_file(workers):
+    """Two members, each with a pooled owner, build one shared file."""
+    from repro.core.owner import DataOwner
+    from repro.core.sem import SecurityMediator
+    from repro.core.shared_file import Contribution, build_shared_file
+
+    params = setup(_fresh_group(), 4)
+    counter = _counted(params)
+    sem = SecurityMediator(params.group, rng=random.Random(14), require_membership=False)
+    with WorkerPool(params, workers) as pool:
+        shared = build_shared_file(params, b"shared", sem, [
+            Contribution(owner=DataOwner(params, sem.pk, rng=random.Random(15 + i),
+                                         pool=pool),
+                         payload=DATA[: 300 * (i + 1)])
+            for i in range(2)
+        ])
+        forked = pool._pool is not None
+    return forked, [sig.point for sig in shared.signatures], counter.snapshot()
+
+
 class TestEndToEndInvariance:
     def test_bit_identical_signatures_and_equal_costs(self):
         ok1, sigs1, rows1, _ = _run_system(1, DATA)
@@ -132,6 +196,14 @@ class TestEndToEndInvariance:
         assert ok1 and ok2 and ok3
         assert sigs1 == sigs2 == sigs3
         assert rows1 == rows2 == rows3
+        # Every other pooled signer: the round fans out at workers=2 yet
+        # matches workers=1 bit for bit, with identical op tallies.
+        for run in (_run_dynamic, _run_fleet, _run_shared_file):
+            serial_forked, serial_sigs, serial_ops = run(1)
+            pooled_forked, pooled_sigs, pooled_ops = run(2)
+            assert pooled_forked and not serial_forked, run.__name__
+            assert pooled_sigs == serial_sigs, run.__name__
+            assert pooled_ops == serial_ops, run.__name__
 
     def test_cached_tables_change_nothing(self, tmp_path):
         ok_a, sigs_a, rows_a, _ = _run_system(1, DATA)

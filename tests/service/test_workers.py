@@ -1,14 +1,19 @@
-"""Worker pools must agree with the reference aggregation exactly."""
+"""Block aggregation inline and through the one worker pool.
+
+The signing pipeline aggregates in-process through the shared
+:class:`~repro.core.blindsign.BlindSignRound`, and
+:class:`~repro.core.parallel.WorkerPool` is the repository's only process
+pool.  Both must agree with the reference aggregation exactly.
+"""
+
+import random
 
 import pytest
 
-from repro.core.blocks import aggregate_block
+from repro.core.blindsign import BlindSignRound
+from repro.core.blocks import aggregate_block, encode_data
+from repro.core.parallel import MIN_PARALLEL_ITEMS, WorkerPool
 from repro.ec.fixed_base import build_tables
-from repro.service.workers import (
-    InlineWorkerPool,
-    ProcessWorkerPool,
-    make_worker_pool,
-)
 
 
 @pytest.fixture()
@@ -17,48 +22,38 @@ def blocks(make_request):
 
 
 class TestInline:
-    def test_matches_reference(self, params_k4, blocks):
-        pool = InlineWorkerPool(params_k4)
+    def test_matches_reference(self, params_k4, sem, blocks):
+        signer = BlindSignRound(params_k4, sem.pk)
         expected = [aggregate_block(params_k4, b) for b in blocks]
-        assert pool.aggregate_blocks(blocks) == expected
+        assert [signer.aggregate(b) for b in blocks] == expected
 
-    def test_with_tables_matches_reference(self, params_k4, blocks):
+    def test_with_tables_matches_reference(self, params_k4, sem, blocks):
         tables = build_tables(list(params_k4.u), params_k4.order.bit_length())
-        pool = InlineWorkerPool(params_k4, tables=tables)
+        signer = BlindSignRound(params_k4, sem.pk, u_tables=tables)
         expected = [aggregate_block(params_k4, b) for b in blocks]
-        assert pool.aggregate_blocks(blocks) == expected
+        assert [signer.aggregate(b) for b in blocks] == expected
 
     def test_context_manager(self, params_k4):
-        with InlineWorkerPool(params_k4) as pool:
-            assert pool.aggregate_blocks([]) == []
+        with WorkerPool(params_k4, 1) as pool:
+            assert pool.blind_blocks([], []) is None
+        assert pool._pool is None
 
 
 class TestFactory:
-    def test_default_is_inline(self, params_k4):
-        assert isinstance(make_worker_pool(params_k4), InlineWorkerPool)
-
-    def test_rejects_groups_without_serialization(self, params_k4):
-        class Opaque:
-            pass
-
-        fake = type(params_k4)(
-            group=Opaque(), k=params_k4.k, u=params_k4.u, seed=params_k4.seed
-        )
-        with pytest.raises(TypeError):
-            ProcessWorkerPool(fake)
-        # ... but the factory degrades gracefully.
-        assert isinstance(
-            make_worker_pool(fake, prefer_processes=True), InlineWorkerPool
-        )
+    def test_default_is_inline(self, params_k4, blocks):
+        """A one-worker pool never forks: the caller's serial path runs."""
+        with WorkerPool(params_k4, 1) as pool:
+            assert pool.blind_blocks(blocks, [1] * len(blocks)) is None
+            assert pool._pool is None
 
 
 @pytest.mark.slow
 class TestProcessPool:
-    def test_matches_reference(self, params_k4, blocks):
-        try:
-            pool = ProcessWorkerPool(params_k4, n_workers=2, chunk_blocks=2)
-        except Exception as exc:  # restricted environments lack spawn
-            pytest.skip(f"cannot start process pool: {exc}")
-        with pool:
-            expected = [aggregate_block(params_k4, b) for b in blocks]
-            assert pool.aggregate_blocks(blocks) == expected
+    def test_matches_reference(self, params_k4, sem):
+        blocks = encode_data(bytes(range(256)) * 2, params_k4, b"pooled")
+        assert len(blocks) >= MIN_PARALLEL_ITEMS
+        serial = BlindSignRound(params_k4, sem.pk, rng=random.Random(3))
+        with WorkerPool(params_k4, 2) as pool:
+            pooled = BlindSignRound(params_k4, sem.pk, rng=random.Random(3), pool=pool)
+            assert pooled.prepare(blocks) == serial.prepare(blocks)
+            assert pool._pool is not None
