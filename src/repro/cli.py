@@ -670,15 +670,13 @@ def cmd_dynamic(args) -> int:
 def cmd_serve_sim(args) -> int:
     """Run the batched signing service under the discrete-event simulator.
 
-    Two front doors, one engine: ``--scenario FILE`` executes a declarative
-    scenario document, while the legacy flag set is synthesized into an
-    equivalent in-memory scenario and replayed through the same
-    :class:`~repro.scenarios.runner.ScenarioRunner` (byte-for-byte
-    compatible with the historical wiring).
+    ``--scenario FILE`` executes a declarative scenario document; the flag
+    set is translated into the equivalent document
+    (:func:`~repro.scenarios.legacy.scenario_from_legacy_args`).  Both run
+    through :func:`_run_scenario`; a flag run prints its own summary.
     """
     from repro.scenarios import (
         ScenarioError,
-        ScenarioRunner,
         load_scenario,
         scenario_from_legacy_args,
         warn_if_mixed,
@@ -691,67 +689,37 @@ def cmd_serve_sim(args) -> int:
         except (OSError, ScenarioError) as exc:
             raise CliError(str(exc)) from None
         return _run_scenario(args, scenario)
-    if args.param_set not in TYPE_A_PARAM_SETS:
-        raise CliError(f"unknown param set {args.param_set!r}; "
-                       f"choose from {sorted(TYPE_A_PARAM_SETS)}")
-    group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[args.param_set])
-    threshold = args.threshold if args.threshold and args.threshold > 1 else None
-    w = 1 if threshold is None else 2 * threshold - 1
-    if args.crash >= (threshold or 1):
-        raise CliError(f"crashing {args.crash} SEMs exceeds the t-1 = "
-                       f"{(threshold or 1) - 1} tolerance of a t={threshold or 1} deployment")
     try:
         scenario = scenario_from_legacy_args(args)
-    except ScenarioError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
-    if getattr(args, "slo", False):
+    if args.slo:
         import dataclasses
 
         from repro.scenarios.slo_wiring import default_slo_spec
 
         scenario = dataclasses.replace(scenario, slos=default_slo_spec())
-    obs = _make_obs()
     journal = None
     if args.journal:
         from repro.service import SigningJournal
 
+        group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[args.param_set])
         journal = SigningJournal(args.journal, group=group)
-    chaos_plan = None
-    if args.chaos:
-        from repro.net.faults import FaultPlan
+    return _run_scenario(args, scenario, journal=journal,
+                         summary=_print_serve_sim_summary)
 
-        chaos_plan = FaultPlan.from_file(args.chaos, seed=args.chaos_seed)
-    ledger = _make_ledger(args)
-    runner = ScenarioRunner(scenario, obs=obs, journal=journal,
-                            chaos_plan=chaos_plan, ledger=ledger)
-    compiled = runner.compile()
-    injector = compiled.injector
-    service = next(iter(compiled.services.values()))
-    dashboard = None
-    if args.watch:
-        from repro.obs import Dashboard
 
-        dashboard = Dashboard(
-            obs.registry, clock=lambda: compiled.sim.now,
-            interval_s=args.watch_interval,
-        )
-        dashboard.exemplar_source = lambda: [
-            pair for client in compiled.legacy_clients
-            for pair in client.exemplars
-        ]
-        if runner.slo is not None:
-            dashboard.slo_source = runner.slo.engine.panel
-        dashboard.attach(compiled.sim)
-    result = runner.run()
-    if dashboard is not None:
-        dashboard.tick()  # final frame: the run's end state
+def _print_serve_sim_summary(args, scenario, runner, result) -> None:
+    """A flag run's header and service, chaos, and journal lines."""
+    compiled = runner.compiled
+    group = scenario.topology.sem_groups[0]
+    service = compiled.services[group.name]
     summary = service.metrics.summary()
-    expected = result.issued
-    completed, failed, lost = result.completed, result.failed, result.lost
     print(f"serve-sim: {args.param_set}, k={args.k}, "
-          f"{w} SEM(s) (t={threshold or 1}, {args.crash} crashed), "
+          f"{group.w} SEM(s) (t={group.t}, {group.initial_crashed} crashed), "
           f"{args.clients} client(s) x {args.requests} request(s)")
-    print(f"  completed {completed}, failed {failed}, lost {lost} "
+    print(f"  completed {result.completed}, failed {result.failed}, "
+          f"lost {result.lost} "
           f"in {result.virtual_duration_s:.3f}s virtual time "
           f"({result.bytes_on_wire} bytes on the wire)")
     print(f"  batches: {summary['batches']} (mean size {summary['batch_size_mean']:.1f}), "
@@ -760,81 +728,30 @@ def cmd_serve_sim(args) -> int:
           f"retries: {summary['retries']}, failovers: {summary['failovers']}")
     print(f"  latency p50 {summary['latency_p50_s']:.3f}s, "
           f"p99 {summary['latency_p99_s']:.3f}s (virtual)")
+    injector = compiled.injector
     if injector is not None:
         injected = ", ".join(
             f"{kind} {count}" for kind, count in sorted(injector.counts.items())
         ) or "none fired"
         health = service.health.summary()
-        print(f"  chaos plan {injector.plan.name or args.chaos!r} "
+        print(f"  chaos plan {injector.plan.name!r} "
               f"(seed {injector.plan.seed}): {injected}")
         print(f"  health: {health['trips']} quarantine trip(s), "
               f"{health['probes']} probe(s), "
               f"{health['invalid_total']} invalid share batch(es)")
-    if journal is not None:
-        jsummary = journal.summary()
+    if runner.journal is not None:
+        jsummary = runner.journal.summary()
         print(f"  journal: {jsummary['accepted']} accepted, "
               f"{jsummary['completed']} completed, "
-              f"{jsummary['pending']} pending, {runner.replayed} replayed")
-    _print_flight_recorder(result)
-    _print_slo_summary(result)
-    _write_alerts_out(args, result)
-    _persist_last_slo(args, scenario, result)
-    from repro.obs import trace_header
-
-    _write_obs_outputs(args, obs, header=trace_header(
-        scenario=scenario.name, seed=scenario.settings.seed,
-        digest=result.digest(),
-    ))
-    return 0 if completed == expected else 1
+              f"{jsummary['pending']} pending, {jsummary['replayed']} replayed")
 
 
 # ---------------------------------------------------------------------------
 # Scenario engine commands
 # ---------------------------------------------------------------------------
 
-def _run_scenario(args, scenario) -> int:
-    """Execute one scenario, print its verdict, optionally write the report.
-
-    Shared by ``repro-pdp scenario run`` and ``serve-sim --scenario``.
-    Exit codes: 0 envelope pass, 1 envelope fail.
-    """
-    import dataclasses
-
-    from repro.scenarios import ScenarioRunner
-
-    seed_override = getattr(args, "seed_override", None)
-    if seed_override is not None:
-        scenario = dataclasses.replace(
-            scenario,
-            settings=dataclasses.replace(scenario.settings, seed=seed_override),
-        )
-    if getattr(args, "slo", False) and scenario.slos is None:
-        raise CliError(
-            f"--slo: scenario '{scenario.name}' declares no slos: component"
-        )
-    obs = _make_obs()
-    runner = ScenarioRunner(scenario, obs=obs, ledger=_make_ledger(args),
-                            max_events=getattr(args, "max_events", None))
-    dashboard = None
-    if getattr(args, "watch", False):
-        from repro.obs import Dashboard
-
-        compiled = runner.compile()
-        dashboard = Dashboard(
-            runner.obs.registry, clock=lambda: compiled.sim.now,
-            interval_s=getattr(args, "watch_interval", 0.05),
-        )
-        sources = (compiled.legacy_clients if scenario.legacy
-                   else list(compiled.cohorts.values()))
-        dashboard.exemplar_source = lambda: [
-            pair for node in sources for pair in node.exemplars
-        ]
-        if runner.slo is not None:
-            dashboard.slo_source = runner.slo.engine.panel
-        dashboard.attach(compiled.sim)
-    result = runner.run()
-    if dashboard is not None:
-        dashboard.tick()  # final frame: the run's end state
+def _print_scenario_summary(args, scenario, runner, result) -> None:
+    """A scenario run's header, totals, and per-verifier lines."""
     workload = scenario.workload
     print(f"scenario '{scenario.name}': {scenario.settings.param_set}, "
           f"k={scenario.settings.k}, seed {scenario.settings.seed}, "
@@ -856,6 +773,54 @@ def _run_scenario(args, scenario) -> int:
     if result.fault_counts:
         fired = ", ".join(f"{k} {v}" for k, v in sorted(result.fault_counts.items()))
         print(f"  faults: {fired}")
+
+
+def _run_scenario(args, scenario, journal=None,
+                  summary=_print_scenario_summary) -> int:
+    """Execute one scenario, print its verdict, optionally write the report.
+
+    Shared by ``repro-pdp scenario run`` and both ``serve-sim`` front
+    doors; ``summary`` prints the front end's own lines.
+    Exit codes: 0 envelope pass, 1 envelope fail.
+    """
+    import dataclasses
+
+    from repro.scenarios import ScenarioRunner
+
+    seed_override = getattr(args, "seed_override", None)
+    if seed_override is not None:
+        scenario = dataclasses.replace(
+            scenario,
+            settings=dataclasses.replace(scenario.settings, seed=seed_override),
+        )
+    if getattr(args, "slo", False) and scenario.slos is None:
+        raise CliError(
+            f"--slo: scenario '{scenario.name}' declares no slos: component"
+        )
+    obs = _make_obs()
+    runner = ScenarioRunner(scenario, obs=obs, journal=journal,
+                            ledger=_make_ledger(args),
+                            max_events=getattr(args, "max_events", None))
+    dashboard = None
+    if getattr(args, "watch", False):
+        from repro.obs import Dashboard
+
+        compiled = runner.compile()
+        dashboard = Dashboard(
+            runner.obs.registry, clock=lambda: compiled.sim.now,
+            interval_s=getattr(args, "watch_interval", 0.05),
+        )
+        cohorts = list(compiled.cohorts.values())
+        dashboard.exemplar_source = lambda: [
+            pair for node in cohorts for pair in node.exemplars
+        ]
+        if runner.slo is not None:
+            dashboard.slo_source = runner.slo.engine.panel
+        dashboard.attach(compiled.sim)
+    result = runner.run()
+    if dashboard is not None:
+        dashboard.tick()  # final frame: the run's end state
+    summary(args, scenario, runner, result)
     _print_flight_recorder(result)
     _print_slo_summary(result)
     print(f"  digest: {result.digest()}")
@@ -1489,7 +1454,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scenario", metavar="FILE", default=None,
                    help="run a declarative scenario document instead of the "
-                        "legacy flag set (legacy flags below are then ignored)")
+                        "flag set below (those flags are then ignored, with "
+                        "a warning)")
     p.add_argument("--param-set", default="toy-64")
     p.add_argument("-k", type=int, default=4, help="elements per block")
     p.add_argument("--threshold", type=int, default=None,
@@ -1505,7 +1471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash", type=int, default=0, help="crash the first N SEMs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chaos", metavar="PLAN.json", default=None,
-                   help="install a seeded fault plan (repro.net.faults)")
+                   help="install a seeded fault plan (repro.net.faults); "
+                        "its 'service' and 'sem-j' nodes are this run's "
+                        "'svc-main' and 'sem-main-j'")
     p.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                    help="override the plan's own seed for this run")
     p.add_argument("--round-deadline", type=float, default=None, metavar="S",
@@ -1522,9 +1490,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "protocol decision to PATH (audit offline with "
                         "`repro-pdp ledger verify`)")
     p.add_argument("--slo", action="store_true",
-                   help="attach the stock SLO objectives to a legacy run "
-                        "(burn-rate alerting + per-scope metering); with "
-                        "--scenario, require the document to declare slos:")
+                   help="attach the stock SLO objectives to a flag run "
+                        "(burn-rate alerting + per-scope metering; the "
+                        "document expects no alert, so one that fires fails "
+                        "the run); with --scenario, require the document to "
+                        "declare slos:")
     p.add_argument("--alerts-out", metavar="PATH", default=None,
                    help="write the alert-transition timeline to PATH as JSONL")
     _add_obs_flags(p)

@@ -174,15 +174,16 @@ def bind_ledger(registry: MetricsRegistry, ledger) -> None:
     registry.register_collector(collect)
 
 
-def bind_failover_health(registry: MetricsRegistry, health) -> None:
+def bind_failover_health(registry: MetricsRegistry, health,
+                         prefix: str = "failover_health") -> None:
     """Mirror a :class:`~repro.service.failover.HealthScoreboard` as
-    ``failover_health_<key>`` gauges (rounds, quarantined, trips, probes,
+    ``<prefix>_<key>`` gauges (rounds, quarantined, trips, probes,
     invalid_total, timeouts) — the circuit-breaker view of the cluster."""
 
     def collect() -> None:
         for key, value in health.summary().items():
             registry.gauge(
-                f"failover_health_{key}",
+                f"{prefix}_{key}",
                 help=f"Endpoint health scoreboard: {key.replace('_', ' ')}",
             ).set(float(value))
 

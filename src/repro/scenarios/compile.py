@@ -23,7 +23,7 @@ bit-identical traffic — including message byte sizes.
 from __future__ import annotations
 
 import itertools
-import random
+import re
 from dataclasses import dataclass, field
 
 from repro.core.blocks import encode_data
@@ -43,7 +43,7 @@ from repro.pairing.interface import OperationCounter
 from repro.scenarios.arrivals import make_arrival_process
 from repro.scenarios.population import Population
 from repro.scenarios.rng import derive_rng, derive_seed
-from repro.scenarios.schema import CohortSpec, LinkParams, Scenario
+from repro.scenarios.schema import CohortSpec, LinkParams, Scenario, ScenarioError
 from repro.service.api import SignRequest, SignResponse
 from repro.service.batcher import BatchConfig
 from repro.service.failover import FailoverConfig, SEMEndpoint
@@ -336,11 +336,6 @@ class CompiledScenario:
     verifiers: dict[str, TPANode] = field(default_factory=dict)
     budget: RequestBudget | None = None
     injector: object = None
-    # Legacy compatibility handles (serve-sim flag shim):
-    legacy_clients: list = field(default_factory=list)
-    legacy_rng: random.Random | None = None
-    legacy_expected: int = 0
-    legacy_replayed: int = 0
 
     def start_workload(self) -> None:
         """Arm cohort arrival schedules and TPA audit ticks."""
@@ -391,23 +386,43 @@ def _connect(sim: Simulator, scenario: Scenario, seed: int,
                 bidirectional=False)
 
 
-def compile_scenario(scenario: Scenario, obs=None,
-                     ledger=None) -> CompiledScenario:
-    """Build the simulator network for a (non-legacy) scenario."""
+def compile_scenario(scenario: Scenario, obs=None, ledger=None,
+                     journal=None) -> CompiledScenario:
+    """Build the simulator network for a scenario.
+
+    ``journal`` (a :class:`~repro.service.journal.SigningJournal`) attaches
+    to the scenario's single SEM group; its pending requests are replayed
+    into the service before the workload starts.
+    """
+    groups = scenario.topology.sem_groups
+    if journal is not None and len(groups) != 1:
+        raise ScenarioError("topology.sem_groups",
+                            f"a signing journal attaches to exactly one SEM "
+                            f"group, the scenario declares {len(groups)}")
+    observed = obs is not None and obs.enabled
     settings = scenario.settings
     seed = settings.seed
     group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[settings.param_set])
     params = setup(group, settings.k)
-    if obs is not None and obs.enabled:
+    if observed:
         obs.observe_group(group)
         counter = obs.counter
     else:
         counter = OperationCounter()
         group.attach_counter(counter)
     sim = Simulator()
-    if obs is not None and obs.enabled:
+    if observed:
+        from repro.obs import (
+            bind_failover_health,
+            bind_fault_injector,
+            bind_ledger,
+            bind_service_metrics,
+            bind_simulator,
+        )
+
         obs.tracer.clock = lambda: sim.now
         sim.tracer = obs.tracer  # message deliveries become causal spans
+        bind_simulator(obs.registry, sim)
     if ledger is not None:
         ledger.clock = lambda: sim.now
         # Genesis pins everything `ledger verify` needs to rebuild the
@@ -420,9 +435,7 @@ def compile_scenario(scenario: Scenario, obs=None,
             "k": settings.k,
             "setup_seed": params.seed.hex(),
         })
-        if obs is not None and obs.enabled:
-            from repro.obs import bind_ledger
-
+        if observed:
             bind_ledger(obs.registry, ledger)
     compiled = CompiledScenario(scenario=scenario, sim=sim, params=params,
                                 counter=counter)
@@ -462,11 +475,21 @@ def compile_scenario(scenario: Scenario, obs=None,
             batch_config=batch_config,
             failover_config=failover_config,
             rng=derive_rng(seed, "service", spec.name),
+            journal=journal,
             obs=obs,
             ledger=ledger,
         )
         sim.add_node(service)
         compiled.services[spec.name] = service
+        if observed:
+            # One group keeps the unqualified families the dashboard
+            # reads; with several, each family names its group.
+            tag = ("" if len(groups) == 1
+                   else "_" + re.sub(r"[^a-zA-Z0-9_]", "_", spec.name))
+            bind_service_metrics(obs.registry, service.metrics,
+                                 prefix=f"service{tag}")
+            bind_failover_health(obs.registry, service.health,
+                                 prefix=f"failover_health{tag}")
         group_pks[spec.name] = org_pk
         for endpoint in endpoints:
             params_link = spec.sem_link
@@ -535,79 +558,13 @@ def compile_scenario(scenario: Scenario, obs=None,
             name=settings.fault_plan_name or scenario.name,
         )
         compiled.injector = plan.install(sim)
+        if observed:
+            bind_fault_injector(obs.registry, compiled.injector)
+    if journal is not None:
+        next(iter(compiled.services.values())).recover()
     for spec in scenario.topology.sem_groups:
         for j in range(spec.initial_crashed):
             sim.nodes[f"sem-{spec.name}-{j}"].crash()
     compiled.assert_independent_streams()
     return compiled
 
-
-def compile_legacy(scenario: Scenario, obs, journal=None,
-                   chaos_plan: FaultPlan | None = None,
-                   ledger=None) -> CompiledScenario:
-    """Replicate the historical ``serve-sim`` wiring for the flag shim.
-
-    Byte-for-byte compatible with the pre-scenario code path: one root
-    RNG seeds key material, channels, and payloads in the original
-    consumption order, node names stay ``service``/``sem-j``/``client-i``,
-    and arrivals are the legacy all-at-t=0 batch issued by
-    :class:`~repro.scenarios.runner.ScenarioRunner`.
-    """
-    from repro.service.simnodes import build_service_network
-
-    settings = scenario.settings
-    spec = scenario.topology.sem_groups[0]
-    cohort = scenario.workload.cohorts[0]
-    group = TypeAPairingGroup.from_params(TYPE_A_PARAM_SETS[settings.param_set])
-    params = setup(group, settings.k)
-    if ledger is not None:
-        # build_service_network re-clocks the ledger to virtual time and
-        # binds its registry counters; genesis is written here, first.
-        ledger.ensure_genesis({
-            "scenario": scenario.name,
-            "seed": settings.seed,
-            "param_set": settings.param_set,
-            "k": settings.k,
-            "setup_seed": params.seed.hex(),
-        })
-    rng = random.Random(settings.seed)
-    threshold = spec.t if spec.t > 1 else None
-    link = scenario.topology.default_link
-    channel = Channel(latency_s=link.latency_s, drop_rate=link.drop_rate,
-                      rng=random.Random(rng.getrandbits(64)))
-    sim, service, clients = build_service_network(
-        params,
-        threshold=threshold,
-        n_clients=cohort.members,
-        rng=rng,
-        batch_config=BatchConfig(max_batch=settings.batch.max_batch,
-                                 max_wait_s=settings.batch.max_wait_s),
-        failover_config=FailoverConfig(
-            timeout_s=settings.failover.timeout_s,
-            round_deadline_s=settings.failover.round_deadline_s,
-        ),
-        client_service_channel=channel,
-        service_sem_channel=channel,
-        journal=journal,
-        obs=obs,
-        ledger=ledger,
-    )
-    compiled = CompiledScenario(
-        scenario=scenario, sim=sim, params=params,
-        counter=obs.counter if obs is not None and obs.enabled else OperationCounter(),
-        services={spec.name: service},
-        legacy_clients=clients,
-        legacy_rng=rng,
-        legacy_expected=cohort.members * cohort.arrival.requests_per_member,
-    )
-    if chaos_plan is not None:
-        compiled.injector = chaos_plan.install(sim)
-        if obs is not None and obs.enabled:
-            from repro.obs import bind_fault_injector
-
-            bind_fault_injector(obs.registry, compiled.injector)
-    if journal is not None:
-        compiled.legacy_replayed = service.recover()
-    for j in range(spec.initial_crashed):
-        sim.nodes[f"sem-{j}"].crash()
-    return compiled

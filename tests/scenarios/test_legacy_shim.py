@@ -1,9 +1,9 @@
 """The serve-sim flag shim: legacy flags become one scenario document.
 
 ``scenario_from_legacy_args`` must map every flag onto its scenario
-field (the runner's dedicated legacy compiler keeps the historical
-byte-for-byte wiring), and ``warn_if_mixed`` must detect non-default
-flags next to ``--scenario`` — once per process, listing the offenders.
+field (the document then compiles like any other), and ``warn_if_mixed``
+must detect non-default flags next to ``--scenario`` — once per process,
+listing the offenders.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ def legacy_args(**overrides) -> argparse.Namespace:
 class TestScenarioSynthesis:
     def test_defaults_map_to_single_sem(self):
         scenario = scenario_from_legacy_args(legacy_args())
-        assert scenario.legacy
         assert scenario.name == "serve-sim-legacy"
         (group,) = scenario.topology.sem_groups
         assert group.name == "main" and (group.w, group.t) == (1, 1)
@@ -82,9 +81,13 @@ class TestMixingWarning:
             assert warn_if_mixed(legacy_args()) == []
 
     def test_overridden_flags_are_detected(self):
-        with pytest.warns(DeprecationWarning, match="--clients.*--seed"):
-            overridden = warn_if_mixed(legacy_args(clients=5, seed=3))
-        assert sorted(overridden) == ["clients", "seed"]
+        with pytest.warns(DeprecationWarning,
+                          match="--chaos, --chaos-seed, --clients, --journal, --seed"):
+            overridden = warn_if_mixed(legacy_args(
+                clients=5, seed=3, chaos="plan.json", chaos_seed=4,
+                journal="run.journal"))
+        assert sorted(overridden) == ["chaos", "chaos_seed", "clients",
+                                      "journal", "seed"]
 
     def test_warns_once_per_process(self):
         import warnings
