@@ -87,7 +87,7 @@ class MsmCalibration:
 
 def calibrate_msm_crossover(
     group: PairingGroup,
-    sizes: tuple[int, ...] = (4, 8, 16, 24, 32, 48, 64, 96, 128),
+    sizes: tuple[int, ...] = (16, 32, 64, 96, 128, 160, 192, 256),
     repeats: int = 3,
     rng=None,
     install: bool = False,

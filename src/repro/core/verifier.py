@@ -104,13 +104,17 @@ class PublicVerifier:
 
     # -- Verify ----------------------------------------------------------------
     def verify(self, challenge: Challenge, response: ProofResponse) -> bool:
-        """Eq. 6.  True iff the challenged blocks are intact."""
+        """Eq. 6.  True iff the challenged blocks are intact.
+
+        A σ outside G1 (e.g. an honest σ plus a point of small order, which
+        the pairing cannot see) is rejected before any pairing.
+        """
         if len(response.alphas) != self.params.k:
             return False
+        if not self.group.in_g1(response.sigma):
+            return False
         chi = self._challenge_aggregate(challenge, response)
-        lhs = self.group.pair(response.sigma, self.group.g2())
-        rhs = self.group.pair(chi, self.org_pk)
-        return lhs == rhs
+        return self.group.pairings_equal(response.sigma, chi, self.org_pk)
 
     def verify_batch(
         self, audits: list[tuple[Challenge, ProofResponse]], rng=None
@@ -124,7 +128,9 @@ class PublicVerifier:
 
         Sound except with probability ~L/p.  (This is the multi-request
         batching WCWRL11 advertises, free in our setting because there is
-        only ever one verification key.)
+        only ever one verification key.)  Every σ_i must lie in G1: a
+        small-order component would otherwise survive any weighting the
+        pairing cannot see.
         """
         if not audits:
             return True
@@ -141,12 +147,13 @@ class PublicVerifier:
         for (challenge, response), weight in zip(audits, weights):
             if len(response.alphas) != self.params.k:
                 return False
+            if not self.group.in_g1(response.sigma):
+                return False
             chi = self._challenge_aggregate(challenge, response) ** weight
             sigma = response.sigma**weight
             sigma_acc = sigma if sigma_acc is None else sigma_acc * sigma
             chi_acc = chi if chi_acc is None else chi_acc * chi
-        lhs = self.group.pair(sigma_acc, self.group.g2())
-        return lhs == self.group.pair(chi_acc, self.org_pk)
+        return self.group.pairings_equal(sigma_acc, chi_acc, self.org_pk)
 
     def _challenge_aggregate(self, challenge: Challenge, response: ProofResponse) -> GroupElement:
         """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}  (the RHS element of Eq. 6).

@@ -82,7 +82,7 @@ def verify_blinded(
     pk: GroupElement,
 ) -> bool:
     """Eq. 4: e(σ̃, g2) == e(m̃, pk)."""
-    return group.pair(blind_signature, group.g2()) == group.pair(blinded, pk)
+    return group.pairings_equal(blind_signature, blinded, pk)
 
 
 def unblind(
@@ -150,4 +150,4 @@ def batch_unblind_verify(
     else:
         sig_acc = group.multi_exp(blind_signatures, gammas)
         msg_acc = group.multi_exp(blinded_messages, gammas)
-    return group.pair(sig_acc, group.g2()) == group.pair(msg_acc, pk)
+    return group.pairings_equal(sig_acc, msg_acc, pk)

@@ -507,11 +507,14 @@ class DynamicAuditor:
             return False
         if not (len(proof.block_ids) == len(proof.paths) == len(challenge.indices)):
             return False
-        # Root authenticity: the SEM signed this exact (epoch, count, root).
+        # Root authenticity: the SEM signed this exact (epoch, count, root),
+        # with a signature inside G1.
+        if not self.group.in_g1(proof.root_signature):
+            return False
         root_msg = dyn_root_message(file_id, epoch, count, root)
-        lhs = self.group.pair(proof.root_signature, self.group.g2())
-        rhs = self.group.pair(self.group.hash_to_g1(root_msg), self.org_pk)
-        if lhs != rhs:
+        if not self.group.pairings_equal(
+            proof.root_signature, self.group.hash_to_g1(root_msg), self.org_pk
+        ):
             return False
         # Position: each rank path must derive exactly the challenged rank.
         for position, block_id, path in zip(

@@ -16,9 +16,11 @@ nothing here touches :class:`~repro.pairing.interface.GroupElement` or the
 operation counters — callers account for operations at the API boundary.
 
 The MSM entry point :func:`jac_msm` runs the shared Straus/Pippenger cores
-from :mod:`repro.ec.scalar_mul` over these coordinates, with Pippenger's
-bucket collapse batch-normalized so the suffix-sum additions work on Z = 1
-points.
+from :mod:`repro.ec.scalar_mul` over these coordinates: the wNAF Straus
+tables and Pippenger's bucket collapse are batch-normalized so the hot
+additions work on Z = 1 points.  :func:`jac_scalar_mul` is the one-term
+Straus call every single exponentiation of the type-A backend goes
+through.
 """
 
 from __future__ import annotations
@@ -182,29 +184,65 @@ def batch_normalize(points, q):
     return out
 
 
-def _collapse_buckets(buckets, q):
-    """Batch-normalize Pippenger buckets to Z = 1 before the suffix sum.
+def _normalize_z1(points, q):
+    """Batch-normalize Jacobian points to Z = 1 triples with one inversion.
 
-    After the bucket-accumulation phase each non-empty bucket is a Jacobian
-    point with an arbitrary Z; one Montgomery inversion flattens them all so
-    the ~2·(2^c − 1) suffix-sum additions run as cheap mixed adds.
+    ``None`` entries and points at infinity come back as ``None``.  This
+    flattens Pippenger's buckets before the ~2·(2^c − 1) suffix-sum
+    additions and the wNAF kernel's odd-multiple tables before its main
+    loop, so both run their hot additions as cheap mixed adds.
     """
-    affine = batch_normalize([b for b in buckets if b is not None], q)
-    flat = iter(affine)
+    affine = iter(batch_normalize([p for p in points if p is not None], q))
     out = []
-    for b in buckets:
-        if b is None:
-            out.append(None)
-            continue
-        pt = next(flat)
+    for p in points:
+        pt = None if p is None else next(affine)
         out.append(None if pt is None else (pt[0], pt[1], 1))
     return out
+
+
+def _jac_law(q):
+    """The group law as the shared cores take it: add (mixed when the
+    second operand has Z = 1), double, neg of a Z = 1 triple, normalize."""
+
+    def add(a, b):
+        if b[2] == 1:
+            return jac_add_mixed(a[0], a[1], a[2], b[0], b[1], q)
+        return jac_add(a[0], a[1], a[2], b[0], b[1], b[2], q)
+
+    def double(a):
+        return jac_double(a[0], a[1], a[2], q)
+
+    def neg(p):
+        return (p[0], (-p[1]) % q, 1)
+
+    return add, double, neg, lambda points: _normalize_z1(points, q)
+
+
+def jac_scalar_mul(point, scalar, q):
+    """``scalar·point`` for an affine point: the one-term wNAF kernel.
+
+    Args:
+        point: affine ``(x, y)`` tuple, or ``None`` for infinity.
+        scalar: any integer (a negative one negates ``y``).
+        q: field modulus of the curve ``y² = x³ + x``.
+
+    Returns:
+        The affine product (``None`` if infinity).
+    """
+    if point is None or scalar == 0:
+        return None
+    x, y = point
+    if scalar < 0:
+        y, scalar = (-y) % q, -scalar
+    return jac_to_affine(
+        _straus_core([((x, y, 1), scalar)], JAC_INFINITY, *_jac_law(q)), q
+    )
 
 
 def jac_msm(points, scalars, q, neg=None):
     """Multi-scalar multiplication over raw affine points, via Jacobian.
 
-    Dispatches between Straus and Pippenger at the shared
+    Dispatches between the wNAF Straus kernel and Pippenger at the shared
     :func:`repro.ec.scalar_mul.pippenger_crossover` threshold, exactly like
     the :class:`CurvePoint` front end.
 
@@ -233,25 +271,12 @@ def jac_msm(points, scalars, q, neg=None):
             max_bits = sc.bit_length()
     if not terms:
         return None
-
-    def add(a, b):
-        if b[2] == 1:
-            return jac_add_mixed(a[0], a[1], a[2], b[0], b[1], q)
-        return jac_add(a[0], a[1], a[2], b[0], b[1], b[2], q)
-
-    def double(a):
-        return jac_double(a[0], a[1], a[2], q)
-
-    if len(terms) >= pippenger_crossover():
+    add, double, neg_z1, normalize = _jac_law(q)
+    if len(terms) < pippenger_crossover():
+        result = _straus_core(terms, JAC_INFINITY, add, double, neg_z1, normalize)
+    else:
         window = pippenger_window(len(terms), max_bits)
         result = _pippenger_core(
-            terms,
-            JAC_INFINITY,
-            add,
-            double,
-            window,
-            collapse=lambda buckets: _collapse_buckets(buckets, q),
+            terms, JAC_INFINITY, add, double, window, collapse=normalize
         )
-    else:
-        result = _straus_core(terms, JAC_INFINITY, add, double)
     return jac_to_affine(result, q)

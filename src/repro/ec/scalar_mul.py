@@ -7,13 +7,16 @@ slowest to fastest at scale:
 
 * :func:`multi_scalar_mul_naive` — per-term double-and-add; the correctness
   reference the other two are property-tested against.
-* :func:`multi_scalar_mul_straus` — Straus interleaving: one shared doubling
-  chain for all terms.  Wins for a handful up to a few dozen terms.
+* :func:`multi_scalar_mul_straus` — interleaved signed-window (wNAF)
+  Straus: per term a table of odd multiples, one shared doubling chain, and
+  one addition per nonzero wNAF digit (density ``1/(w+1)``).  Its one-term
+  call, :func:`scalar_mul_wnaf`, is the single-exponentiation kernel.  Wins
+  up to about 160 terms at 160-bit scalars.
 * :func:`multi_scalar_mul_pippenger` — Pippenger bucketing: per window of
   ``c`` scalar bits, terms are thrown into ``2^c - 1`` buckets and collapsed
   with a running suffix sum, so the add count is ``O(bits/c · (n + 2^c))``
-  instead of Straus's ``O(bits · n / 2)``.  Wins from tens of terms and
-  dominates at the paper's audit scale (c = 460 challenged blocks, and
+  instead of Straus's ``O(n · (2^(w−2) + bits/(w+1)))``.  Wins above that,
+  including the paper's audit scale (c = 460 challenged blocks, and
   thousands of terms for multi-file batch audits).
 
 :func:`multi_scalar_mul` dispatches between Straus and Pippenger at the
@@ -37,53 +40,27 @@ DEFAULT_SCALAR_BITS = 160
 
 
 def _wnaf_digits(scalar: int, width: int) -> list[int]:
-    """Windowed non-adjacent form of a non-negative scalar."""
+    """Windowed non-adjacent form of a non-negative scalar, least
+    significant digit first.
+
+    Every nonzero digit is odd and lies in ``(−2^(width−1), 2^(width−1))``,
+    and any two nonzero digits are at least ``width`` positions apart.
+    """
     digits = []
     power = 1 << width
-    half = 1 << (width - 1)
+    half = power >> 1
+    mask = power - 1
     while scalar:
-        if scalar & 1:
-            digit = scalar % power
-            if digit >= half:
-                digit -= power
-            scalar -= digit
-        else:
-            digit = 0
+        zeros = (scalar & -scalar).bit_length() - 1
+        if zeros:
+            digits.extend([0] * zeros)
+            scalar >>= zeros
+        digit = scalar & mask
+        if digit >= half:
+            digit -= power
         digits.append(digit)
-        scalar >>= 1
+        scalar = (scalar - digit) >> 1
     return digits
-
-
-def scalar_mul_wnaf(point: CurvePoint, scalar: int, width: int = 4) -> CurvePoint:
-    """w-NAF scalar multiplication (fewer additions than double-and-add).
-
-    Args:
-        point: the base point.
-        scalar: any integer (negatives handled by negating the point).
-        width: NAF window width; ``2^(width-2)`` odd multiples are
-            precomputed.
-
-    Returns:
-        ``scalar * point``.
-    """
-    if scalar == 0:
-        return point.curve.infinity()
-    if scalar < 0:
-        return scalar_mul_wnaf(-point, -scalar, width)
-    # Precompute odd multiples 1P, 3P, ..., (2^(w-1)-1)P.
-    table = [point]
-    twice = point.double()
-    for _ in range((1 << (width - 2)) - 1):
-        table.append(table[-1] + twice)
-    digits = _wnaf_digits(scalar, width)
-    result = point.curve.infinity()
-    for digit in reversed(digits):
-        result = result.double()
-        if digit > 0:
-            result = result + table[(digit - 1) // 2]
-        elif digit < 0:
-            result = result - table[(-digit - 1) // 2]
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +72,53 @@ def scalar_mul_wnaf(point: CurvePoint, scalar: int, width: int = 4) -> CurvePoin
 # accept the identity.  The raw Jacobian backend reuses these cores with
 # tuple points (repro.ec.jacobian), so the algorithms are written once.
 
-def _straus_core(terms, identity, add, double):
+def _straus_core(terms, identity, add, double, neg, normalize, width=None):
+    """Interleaved signed-window (wNAF) Straus: ``Σ scalar·point``.
+
+    Per term, the odd multiples P, 3P, …, (2^(w−1) − 1)P are built with
+    ``double``/``add`` and flattened by one ``normalize`` call; then one
+    doubling chain is shared by all terms, and each nonzero wNAF digit adds
+    one table entry — a negative digit adds the entry's ``neg``.  Table
+    entries equal to the identity (P of small order, e.g. 3P = O) come back
+    from ``normalize`` as ``None`` and are skipped.
+
+    Args:
+        neg: negation of a normalized table entry.
+        normalize: maps the list of table points to the operand form the
+            main-loop ``add`` is fastest on (Z = 1 for Jacobian), with
+            ``None`` for the identity.
+        width: wNAF window width; :func:`straus_window` of the term count
+            and the longest scalar when omitted.
+    """
     max_bits = max((s.bit_length() for _, s in terms), default=0)
+    if max_bits == 0:
+        return identity
+    if width is None:
+        width = straus_window(len(terms), max_bits)
+    n_odd = 1 << (width - 2)
+    multiples = []
+    for pt, _ in terms:
+        multiples.append(pt)
+        if n_odd > 1:
+            twice = double(pt)
+            acc = pt
+            for _ in range(n_odd - 1):
+                acc = add(twice, acc)
+                multiples.append(acc)
+    table = normalize(multiples)
+    # schedule[i]: the entries to add after the doubling at digit position i.
+    schedule = [[] for _ in range(max_bits + 1)]
+    for base, (_, sc) in zip(range(0, len(table), n_odd), terms):
+        for pos, digit in enumerate(_wnaf_digits(sc, width)):
+            if digit:
+                entry = table[base + ((abs(digit) - 1) >> 1)]
+                if entry is not None:
+                    schedule[pos].append(entry if digit > 0 else neg(entry))
     result = identity
-    for bit in range(max_bits - 1, -1, -1):
+    for entries in reversed(schedule):
         result = double(result)
-        for pt, sc in terms:
-            if (sc >> bit) & 1:
-                result = add(result, pt)
+        for entry in entries:
+            result = add(result, entry)
     return result
 
 
@@ -166,13 +182,40 @@ def _pippenger_op_estimate(n_terms: int, bits: int, window: int) -> int:
     return windows * (n_terms + 2 * ((1 << window) - 1)) + bits
 
 
-def _straus_op_estimate(n_terms: int, bits: int) -> int:
-    # bits doublings + one add per set scalar bit (density 1/2 on average).
-    return bits + (n_terms * bits) // 2
+#: Widest wNAF window :func:`straus_window` considers (64 odd multiples).
+_MAX_WNAF_WIDTH = 8
+
+#: Modeled cost of one table point, in main-loop (mixed) additions.  At
+#: paper-160 a general Jacobian addition costs ≈ 1.4 mixed additions and its
+#: share of the batch normalization ≈ 0.6; with the per-term doubling and
+#: the recoding bookkeeping, 3 reproduces the measured break-even against
+#: Pippenger (between 128 and 192 terms).
+_TABLE_POINT_COST = 3
+
+
+def _straus_op_estimate(n_terms: int, bits: int, width: int) -> float:
+    # n·2^(w−2) table points, bits doublings, and one mixed add per nonzero
+    # wNAF digit (density 1/(w+1) on average).
+    return (_TABLE_POINT_COST * n_terms * (1 << (width - 2)) + bits
+            + n_terms * bits / (width + 1))
+
+
+def straus_window(n_terms: int, bits: int = DEFAULT_SCALAR_BITS) -> int:
+    """The wNAF width minimizing the modeled Straus cost for ``n_terms``.
+
+    A wider window lowers the digit density 1/(w+1) but doubles every
+    term's table of odd multiples, so the optimum shrinks as terms are
+    added and grows with the scalar length.  At the paper's sizes (one
+    160- or 352-bit exponent, a 32-term audit MSM) it is w = 4.
+    """
+    return min(
+        range(2, _MAX_WNAF_WIDTH + 1),
+        key=lambda w: _straus_op_estimate(n_terms, bits, w),
+    )
 
 
 def estimate_crossover(bits: int = DEFAULT_SCALAR_BITS) -> int:
-    """Smallest term count where the Pippenger op model beats Straus.
+    """Smallest term count where the Pippenger op model beats wNAF Straus.
 
     This is the import-time default for :func:`multi_scalar_mul`'s dispatch;
     :func:`repro.analysis.calibrate.calibrate_msm_crossover` replaces it
@@ -182,7 +225,7 @@ def estimate_crossover(bits: int = DEFAULT_SCALAR_BITS) -> int:
         best = min(
             _pippenger_op_estimate(n, bits, c) for c in range(1, 16)
         )
-        if best < _straus_op_estimate(n, bits):
+        if best < _straus_op_estimate(n, bits, straus_window(n, bits)):
             return n
     return 4097
 
@@ -214,6 +257,16 @@ def set_pippenger_crossover(n_terms: int) -> int:
 # Public CurvePoint API
 # ---------------------------------------------------------------------------
 
+#: The affine group law as :func:`_straus_core` takes it:
+#: add, double, neg, normalize.
+_CURVE_LAW = (
+    lambda a, b: a + b,
+    lambda a: a.double(),
+    lambda a: -a,
+    lambda pts: [None if p.infinity else p for p in pts],
+)
+
+
 def _prepare_terms(points: list[CurvePoint], scalars: list[int]):
     """Validate inputs and fold negative scalars into negated points."""
     if len(points) != len(scalars):
@@ -239,15 +292,35 @@ def multi_scalar_mul_naive(points: list[CurvePoint], scalars: list[int]) -> Curv
 
 
 def multi_scalar_mul_straus(points: list[CurvePoint], scalars: list[int]) -> CurvePoint:
-    """Simultaneous MSM sharing one doubling chain (Straus interleaving).
+    """Simultaneous MSM sharing one doubling chain (interleaved wNAF Straus).
 
-    The right algorithm for a handful up to a few dozen terms; above the
+    The right algorithm up to about 160 terms at 160-bit scalars; above the
     :func:`pippenger_crossover` threshold bucketing wins.
     """
     terms = _prepare_terms(points, scalars)
-    curve = points[0].curve
+    return _straus_core(terms, points[0].curve.infinity(), *_CURVE_LAW)
+
+
+def scalar_mul_wnaf(
+    point: CurvePoint, scalar: int, width: int | None = None
+) -> CurvePoint:
+    """w-NAF scalar multiplication: the one-term call of the Straus kernel.
+
+    Args:
+        point: the base point.
+        scalar: any integer (negatives handled by negating the point).
+        width: NAF window width (>= 2); ``2^(width-2)`` odd multiples are
+            precomputed.  Chosen by :func:`straus_window` when omitted.
+
+    Returns:
+        ``scalar * point``.
+    """
+    if width is not None and width < 2:
+        raise ValueError("wNAF width must be >= 2")
+    if scalar < 0:
+        point, scalar = -point, -scalar
     return _straus_core(
-        terms, curve.infinity(), lambda a, b: a + b, lambda a: a.double()
+        [(point, scalar)], point.curve.infinity(), *_CURVE_LAW, width=width
     )
 
 

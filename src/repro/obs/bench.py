@@ -391,7 +391,7 @@ def _suite_chaos(repeats: int, options: dict) -> tuple[list[dict], dict]:
 
 
 def _suite_msm(repeats: int, options: dict) -> tuple[list[dict], dict]:
-    """Straus vs Pippenger head-to-head at small and audit-scale term counts.
+    """wNAF Straus kernel vs Pippenger at small and audit-scale term counts.
 
     One phase per (algorithm, size) cell; the Pippenger phases carry a
     ``speedup_x`` scalar relative to Straus at the same size.  Both

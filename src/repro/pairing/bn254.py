@@ -184,6 +184,10 @@ class BN254PairingGroup(PairingGroup):
         x, y = hash_to_curve_try_increment(data, FIELD_MODULUS, 0, 3, sqrt_mod)
         return GroupElement(self, (FQ(x), FQ(y)), "g1")
 
+    def in_g1(self, element: GroupElement) -> bool:
+        """The cofactor is 1, so every on-curve G1 point is in G1."""
+        return element.which == "g1" and is_on_g1_curve(element.point)
+
     # -- backend primitives ------------------------------------------------
     def _add(self, a, b, which):
         return _add(a, b)

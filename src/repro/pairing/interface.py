@@ -21,7 +21,7 @@ class OperationCounter:
     """Tallies of the operations the paper's Table I counts.
 
     ``exp_g1`` counts exponentiations executed through the generic
-    double-and-add path.  Three sibling tallies keep the measurement
+    single-exponentiation path (``**``).  Three sibling tallies keep the measurement
     reconcilable with the paper's closed forms, which count one Exp per
     element unconditionally:
 
@@ -269,6 +269,21 @@ class PairingGroup(ABC):
             result = result * self.pair(p, q)
         return result
 
+    def pairings_equal(
+        self, a: GroupElement, b: GroupElement, q: GroupElement
+    ) -> bool:
+        """``e(a, g2) == e(b, q)`` with one shared final exponentiation.
+
+        Tests ``e(a, g2) · e(b⁻¹, q)`` from :meth:`multi_pair` for the
+        identity — the same verdict as comparing two pairings, because the
+        final exponentiation is a homomorphism.  Pass the element that
+        arrives from outside (a signature, a proof's σ) as ``a``: only the
+        verifier-computed ``b`` is negated.
+
+        Op-count cost: 2 Pair.
+        """
+        return self.multi_pair([(a, self.g2()), (b.inverse(), q)]).is_identity()
+
     def multi_exp(
         self, elements: list[GroupElement], exponents: list[int]
     ) -> GroupElement:
@@ -358,6 +373,16 @@ class PairingGroup(ABC):
     @abstractmethod
     def hash_to_g1(self, data: bytes) -> GroupElement:
         """Full-domain hash H : {0,1}* -> G1."""
+
+    @abstractmethod
+    def in_g1(self, element: GroupElement) -> bool:
+        """True iff ``element`` lies in the prime-order group G1.
+
+        A decoded point can be on the curve yet outside G1 when the curve
+        group has a cofactor; verifiers reject such cloud-supplied values
+        before pairing them.  Not tallied: like an MSM's internal merges,
+        it is verifier bookkeeping rather than a Table I operation.
+        """
 
     def random_g1(self, rng=None) -> GroupElement:
         return self.g1() ** self.random_nonzero_scalar(rng)

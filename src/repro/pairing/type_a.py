@@ -24,9 +24,8 @@ object-level API is provided by :class:`repro.pairing.interface`.
 from __future__ import annotations
 
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
-from repro.ec.jacobian import jac_add as _jac_add_xyz
-from repro.ec.jacobian import jac_double as _jac_double_xyz
-from repro.ec.jacobian import jac_msm
+from repro.ec.jacobian import jac_double as _jac_double
+from repro.ec.jacobian import jac_msm, jac_scalar_mul
 from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import PairingGroup
 from repro.pairing.params import TypeAParams
@@ -77,6 +76,18 @@ class TypeAPairingGroup(PairingGroup):
             # subgroup.  Retry with a domain-separated suffix.
             return self.hash_to_g1(data + b"\x00retry")
         return GroupElement(self, point, "g1")
+
+    def in_g1(self, element):
+        """On the curve and [r]·P = O (one exponentiation by r, untallied)."""
+        if element.which != "g1":
+            return False
+        point = element.point
+        if point is None:
+            return True
+        x, y = point
+        if (y * y - x * x * x - x) % self.q:
+            return False
+        return self._raw_scalar_mul(point, self.order) is None
 
     def hash_msm(self, messages, exponents):
         """∏ H(m_i)^{e_i} as  [h]·Σ (e_i mod r)·P_i,  clearing the cofactor once.
@@ -138,29 +149,8 @@ class TypeAPairingGroup(PairingGroup):
         return (p[0], (-p[1]) % self.q)
 
     def _raw_scalar_mul(self, point, n: int):
-        """Jacobian-coordinate double-and-add; returns affine or None."""
-        if point is None or n == 0:
-            return None
-        if n < 0:
-            return self._raw_scalar_mul(self._raw_neg(point), -n)
-        q = self.q
-        # Jacobian: (X, Y, Z) represents (X/Z², Y/Z³).
-        rx, ry, rz = 0, 0, 0  # infinity marker: rz == 0
-        ax, ay, az = point[0], point[1], 1
-        while n:
-            if n & 1:
-                if rz == 0:
-                    rx, ry, rz = ax, ay, az
-                else:
-                    rx, ry, rz = _jac_add(rx, ry, rz, ax, ay, az, q)
-            n >>= 1
-            if n:
-                ax, ay, az = _jac_double(ax, ay, az, q)
-        if rz == 0:
-            return None
-        zinv = pow(rz, -1, q)
-        zinv2 = zinv * zinv % q
-        return (rx * zinv2 % q, ry * zinv2 % q * zinv % q)
+        """``n·point`` through the one-term wNAF kernel; affine or None."""
+        return jac_scalar_mul(point, n, self.q)
 
     # ------------------------------------------------------------------
     # PairingGroup backend primitives
@@ -389,10 +379,3 @@ class TypeAPairingGroup(PairingGroup):
 
     def __repr__(self):
         return f"TypeAPairingGroup({self.params.name}, |r|={self.order.bit_length()})"
-
-
-# The Jacobian group law lives in repro.ec.jacobian (shared with the MSM
-# engine and the fixed-base table builder); these aliases keep the local
-# call sites readable.
-_jac_double = _jac_double_xyz
-_jac_add = _jac_add_xyz
