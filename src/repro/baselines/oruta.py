@@ -66,11 +66,7 @@ class HARSRing:
                 continue
             a_i = group.random_nonzero_scalar(self._rng)
             components[i] = group.g1() ** a_i
-            pk_g1 = GroupElement(group, self.pks[i].point, "g1") if group.is_symmetric else None
-            if pk_g1 is None:
-                # Asymmetric groups need g1 copies of keys; derive from sk
-                # (the ring holds all members' keys in this simulation).
-                pk_g1 = group.g1() ** self._sks[i]
+            pk_g1 = GroupElement(group, self.pks[i].point, "g1")
             closing = closing / pk_g1**a_i
         x_inv = inverse_mod(self._sks[signer], group.order)
         components[signer] = closing**x_inv

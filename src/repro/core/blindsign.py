@@ -51,8 +51,8 @@ class BlindSignRound:
     Args:
         params: system parameters.
         pk: the organization key pk = g2^y the Eq. 7 / Eq. 4 checks use.
-        pk1: its G1 copy g1^y for unblinding; derived from ``pk`` on
-            symmetric groups when omitted.
+        pk1: its G1 copy g1^y for unblinding; ``pk`` retagged as a G1
+            element when omitted.
         rng: the stream every blinding factor (and, by default, every
             Eq. 7 coefficient) is drawn from.
         u_tables: fixed-base tables for u_1..u_k (aggregation).
@@ -72,7 +72,7 @@ class BlindSignRound:
         self.params = params
         self.group = params.group
         self.pk = pk
-        if pk1 is None and self.group.is_symmetric:
+        if pk1 is None:
             pk1 = GroupElement(self.group, pk.point, "g1")
         self.pk1 = pk1
         self.rng = rng
@@ -139,8 +139,6 @@ class BlindSignRound:
     def unblind(self, states: list[BlindingState],
                 blind_signatures: list[GroupElement]) -> list[GroupElement]:
         """Eq. 5 for every item: σ_i = σ̃_i · pk1^{−r_i} (no checks)."""
-        if self.pk1 is None:
-            raise ValueError("asymmetric groups require the G1 public key pk1")
         if self.pool is not None:
             result = self.pool.unblind_batch(states, blind_signatures, self.pk, self.pk1)
             if result is not None:

@@ -243,7 +243,7 @@ class WorkerPool:
             with self.tracer.span(f"{task}.worker", worker=i):
                 if counter is not None:
                     counter.merge(delta)
-            acc = point if acc is None else self.group._add(acc, point, "g1")
+            acc = point if acc is None else self.group._add(acc, point)
         return GroupElement(self.group, acc, "g1")
 
     def _run(self, task_fn, payloads):

@@ -175,6 +175,4 @@ class PublicVerifier:
         u_part = self.group.multi_exp(list(self.params.u), list(response.alphas))
         # Raw, uncounted merge — multi_exp doesn't tally its internal
         # additions either.
-        return GroupElement(
-            self.group, self.group._add(h_part.point, u_part.point, "g1"), "g1"
-        )
+        return GroupElement(self.group, self.group._add(h_part.point, u_part.point), "g1")

@@ -27,7 +27,7 @@ class ThresholdKeyShares:
     """Output of Setup′: per-SEM key shares and public verification keys.
 
     ``share_pks[j]`` is pk_j = g2^{y_j}; ``share_pks_g1[j]`` the G1 copy
-    used in share combination checks on asymmetric groups.  The master
+    used in share combination checks.  The master
     public key pk = g2^y is what public verifiers use; the master secret is
     *not* retained (the dealer goes offline, as the paper prescribes).
     """

@@ -1,9 +1,9 @@
-"""Generic short-Weierstrass elliptic curve arithmetic.
+"""Generic short-Weierstrass elliptic curve arithmetic over a prime field.
 
-Works over any field whose elements implement ``+ - * / == **`` — the prime
-field, F_p², or the F_p¹² tower — so the same group law backs both pairing
-backends.  Points are immutable; the point at infinity is represented by a
-dedicated sentinel per curve.
+Works over any field whose elements implement ``+ - * / == **``; the
+reproduction uses it over :class:`~repro.mathkit.field.PrimeField`.  Points
+are immutable; the point at infinity is represented by a dedicated sentinel
+per curve.
 
 Performance-critical inner loops (the type-A Miller loop and its scalar
 multiplications) use specialized raw-integer Jacobian arithmetic in

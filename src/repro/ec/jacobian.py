@@ -1,7 +1,7 @@
 """Raw Jacobian-coordinate arithmetic for short-Weierstrass curves a = 1.
 
-The pairing backends' hot paths (scalar multiplication, and since PR 5 the
-multi-scalar multiplications behind Eq. 6/Eq. 7) cannot afford one modular
+The type-A backend's hot paths (scalar multiplication and the multi-scalar
+multiplications behind Eq. 6/Eq. 7) cannot afford one modular
 inversion per group operation, which is what affine addition costs.  This
 module keeps intermediate points in Jacobian coordinates — ``(X, Y, Z)``
 representing the affine point ``(X/Z², Y/Z³)``, with ``Z = 0`` marking the

@@ -50,21 +50,6 @@ class PrecomputeCacheError(Exception):
     """A cache file failed validation (missing, corrupt, or mismatched)."""
 
 
-def _raw_affine_points(group: PairingGroup, bases: list[GroupElement]) -> bool:
-    """True when the backend's raw points are affine ``(x, y)`` int pairs."""
-    if not hasattr(group, "q"):
-        return False
-    return all(
-        el.point is None
-        or (
-            isinstance(el.point, tuple)
-            and len(el.point) == 2
-            and all(isinstance(c, int) for c in el.point)
-        )
-        for el in bases
-    )
-
-
 def build_tables_fast(
     bases: list[GroupElement], exponent_bits: int, window: int = 4
 ) -> list[FixedBaseTable]:
@@ -95,8 +80,6 @@ def build_tables_fast(
     if not bases:
         return []
     group = bases[0].group
-    if not _raw_affine_points(group, bases):
-        return [FixedBaseTable(base, exponent_bits, window) for base in bases]
     q = group.q
     tables = []
     digits = (exponent_bits + window - 1) // window
@@ -168,17 +151,10 @@ def save_tables(
     tables: list[FixedBaseTable],
     exponent_bits: int,
 ) -> Path:
-    """Serialize fixed-base tables to ``path`` (uncompressed coordinates).
-
-    Raises:
-        PrecomputeCacheError: if the tables' points are not raw affine
-            integer pairs (nothing sensible to persist).
-    """
+    """Serialize fixed-base tables to ``path`` (uncompressed coordinates)."""
     path = Path(path)
     serialized = []
     for table in tables:
-        if not _raw_affine_points(group, [table.base]):
-            raise PrecomputeCacheError("group points are not cacheable")
         rows = []
         for row in table._table:
             entries = []
@@ -246,7 +222,7 @@ def load_tables(
     entries = document.get("tables")
     if not isinstance(entries, list) or len(entries) != len(bases):
         raise PrecomputeCacheError("cache base count mismatch")
-    q = getattr(group, "q", None)
+    q = group.q
     digits = (exponent_bits + window - 1) // window
     radix = 1 << window
     tables = []
@@ -279,11 +255,10 @@ def _validate_point(raw, q):
     x, y = raw
     if not (isinstance(x, int) and isinstance(y, int)):
         raise PrecomputeCacheError("non-integer stored coordinate")
-    if q is not None:
-        if not (0 <= x < q and 0 <= y < q):
-            raise PrecomputeCacheError("stored coordinate out of range")
-        if (y * y - (x * x * x + x)) % q != 0:
-            raise PrecomputeCacheError("stored point is not on the curve")
+    if not (0 <= x < q and 0 <= y < q):
+        raise PrecomputeCacheError("stored coordinate out of range")
+    if (y * y - (x * x * x + x)) % q != 0:
+        raise PrecomputeCacheError("stored point is not on the curve")
     return (x, y)
 
 

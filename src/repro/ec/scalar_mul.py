@@ -25,7 +25,7 @@ crossover point selected at import time from the operation-count model
 measured value (see :func:`repro.analysis.calibrate.calibrate_msm_crossover`).
 
 All three operate on affine :class:`~repro.ec.curve.CurvePoint` values over
-any field.  The pairing backends run the same algorithms over raw Jacobian
+any field.  The type-A pairing backend runs the same algorithms over raw Jacobian
 coordinates (:mod:`repro.ec.jacobian`) through the shared cores below, which
 are parameterized only by the group law.
 """

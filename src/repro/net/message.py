@@ -24,10 +24,8 @@ def payload_size(payload, scalar_bytes: int = _SCALAR_FALLBACK_BYTES) -> int:
     if isinstance(payload, GroupElement):
         return len(payload.to_bytes())
     if isinstance(payload, GTElement):
-        # GT in an embedding-degree-2 group: two base-field elements (use
-        # the base field size when the backend exposes it).
-        base = getattr(payload.group, "q", payload.group.order)
-        qbytes = (base.bit_length() + 7) // 8
+        # GT in an embedding-degree-2 group: two base-field elements.
+        qbytes = (payload.group.q.bit_length() + 7) // 8
         return 2 * max(qbytes, scalar_bytes)
     if isinstance(payload, bool):
         return 1

@@ -2,7 +2,8 @@
 
 Two signals, deliberately asymmetric:
 
-* **Op-count deltas** (model-equivalent Exp/Pair per phase) are exact and
+* **Op-count deltas** (model-equivalent Exp/Pair per phase, plus the
+  ``hash_to_g1`` and ``cofactor_clear`` tallies) are exact and
   deterministic — the protocol performs the same group operations for the
   same seeded inputs on any machine — so *any* increase is a regression
   and fails the gate.  This is the primary signal and the only one CI
@@ -64,22 +65,36 @@ class PhaseDiff:
     current_exp: int | None = None
     baseline_pair: int | None = None
     current_pair: int | None = None
+    baseline_hash: int | None = None
+    current_hash: int | None = None
+    baseline_cofactor: int | None = None
+    current_cofactor: int | None = None
     baseline_wall_s: float | None = None
     current_wall_s: float | None = None
     wall_ratio: float | None = None
     notes: list[str] = field(default_factory=list)
 
+    @staticmethod
+    def _delta(baseline: int | None, current: int | None) -> int | None:
+        if baseline is None or current is None:
+            return None
+        return current - baseline
+
     @property
     def delta_exp(self) -> int | None:
-        if self.baseline_exp is None or self.current_exp is None:
-            return None
-        return self.current_exp - self.baseline_exp
+        return self._delta(self.baseline_exp, self.current_exp)
 
     @property
     def delta_pair(self) -> int | None:
-        if self.baseline_pair is None or self.current_pair is None:
-            return None
-        return self.current_pair - self.baseline_pair
+        return self._delta(self.baseline_pair, self.current_pair)
+
+    @property
+    def delta_hash(self) -> int | None:
+        return self._delta(self.baseline_hash, self.current_hash)
+
+    @property
+    def delta_cofactor(self) -> int | None:
+        return self._delta(self.baseline_cofactor, self.current_cofactor)
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +106,12 @@ class PhaseDiff:
             "baseline_pair": self.baseline_pair,
             "current_pair": self.current_pair,
             "delta_pair": self.delta_pair,
+            "baseline_hash": self.baseline_hash,
+            "current_hash": self.current_hash,
+            "delta_hash": self.delta_hash,
+            "baseline_cofactor": self.baseline_cofactor,
+            "current_cofactor": self.current_cofactor,
+            "delta_cofactor": self.delta_cofactor,
             "baseline_wall_s": self.baseline_wall_s,
             "current_wall_s": self.current_wall_s,
             "wall_ratio": self.wall_ratio,
@@ -224,23 +245,30 @@ def compare_runs(
             report.warnings.append(f"{name}: phase removed since baseline")
             report.diffs.append(diff)
             continue
+        # Run documents omit zero tallies, so an absent count is 0.
+        base_ops, cur_ops = base["ops"], cur["ops"]
         diff = PhaseDiff(
             name=name, status=STATUS_OK,
             baseline_exp=base["exp"], current_exp=cur["exp"],
             baseline_pair=base["pair"], current_pair=cur["pair"],
+            baseline_hash=base_ops.get("hash_to_g1", 0),
+            current_hash=cur_ops.get("hash_to_g1", 0),
+            baseline_cofactor=base_ops.get("cofactor_clear", 0),
+            current_cofactor=cur_ops.get("cofactor_clear", 0),
             baseline_wall_s=base["wall_s"], current_wall_s=cur["wall_s"],
         )
         # Primary: exact op-count deltas.
-        zero_ops = not base["ops"] and not cur["ops"]
+        zero_ops = not base_ops and not cur_ops
         if zero_ops:
             diff.notes.append("zero-op phase — wall-time signal only")
-        d_exp, d_pair = diff.delta_exp, diff.delta_pair
-        if d_exp > config.ops_tolerance or d_pair > config.ops_tolerance:
+        deltas = (diff.delta_exp, diff.delta_pair, diff.delta_hash, diff.delta_cofactor)
+        if any(d > config.ops_tolerance for d in deltas):
             diff.status = STATUS_REGRESSION
             report.failures.append(
-                f"{name}: op-count regression (ΔExp={d_exp:+d}, ΔPair={d_pair:+d})"
+                f"{name}: op-count regression (ΔExp={deltas[0]:+d}, ΔPair={deltas[1]:+d}, "
+                f"Δhash_to_g1={deltas[2]:+d}, Δcofactor_clear={deltas[3]:+d})"
             )
-        elif d_exp < 0 or d_pair < 0:
+        elif any(d < 0 for d in deltas):
             diff.status = STATUS_IMPROVED
             diff.notes.append("fewer ops than baseline")
         # Secondary: wall-time ratio, guarded against noise.

@@ -1,15 +1,10 @@
 """Bilinear pairing groups.
 
-Two backends implement the :class:`~repro.pairing.interface.PairingGroup`
-API:
-
-* :mod:`repro.pairing.type_a` — the primary backend.  A symmetric pairing
-  e : G1 × G1 → GT on the supersingular curve y² = x³ + x over F_q with
-  embedding degree 2; the same family as PBC's ``a.param`` used by the paper
-  (|r| = 160, |q| = 512).
-* :mod:`repro.pairing.bn254` — a secondary, asymmetric (type-3) backend on
-  the BN254 / alt_bn128 curve, demonstrating that the scheme ports to
-  modern 128-bit-security pairings.
+One backend, :mod:`repro.pairing.type_a`, implements the arithmetic behind
+the tallying :class:`~repro.pairing.interface.PairingGroup` API: a symmetric
+pairing e : G1 × G1 → GT on the supersingular curve y² = x³ + x over F_q
+with embedding degree 2 — the same family as PBC's ``a.param`` used by the
+paper (|r| = 160, |q| = 512).
 
 Use :func:`default_group` (or :func:`toy_group` in unit tests) unless you
 need a specific parameterization.

@@ -1,18 +1,21 @@
-"""Abstract pairing-group API and multiplicative element wrappers.
+"""The pairing-group API: multiplicative element wrappers and the tallies.
 
 The paper writes G1 multiplicatively (``u^m``, ``σ = m̃^y``); the wrappers
 here expose exactly that notation over additive curve arithmetic, so scheme
 code reads like the paper's equations.
 
-An :class:`OperationCounter` can be attached to a group to tally the two
-operations the paper's cost model (Table I) is expressed in: exponentiations
-in G1 (``Exp_G1``) and pairings (``Pair``).
+:class:`PairingGroup` is the counting layer: every operation the paper's
+cost model (Table I) is expressed in — exponentiations (``Exp_G1``),
+pairings (``Pair``) and hashes onto G1 — passes through it and is tallied
+into an attached :class:`OperationCounter`.  The curve arithmetic behind it
+is the one backend, :class:`~repro.pairing.type_a.TypeAPairingGroup`; its
+raw points are affine ``(x, y)`` integer tuples with ``None`` the point at
+infinity, and raw GT values are ``(a, b)`` pairs.
 """
 
 from __future__ import annotations
 
 import secrets
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 
@@ -39,10 +42,10 @@ class OperationCounter:
     The model-equivalent total is the sum of all four; the observability
     cost table uses it to check measured runs against Table I *exactly*.
 
-    ``cofactor_clear`` counts multiplications by the curve cofactor h on
-    backends whose G1 is a proper subgroup (type A): one per
-    ``hash_to_g1``, but only one per fused :meth:`PairingGroup.hash_msm`
-    however many messages it hashes.  The model has no such unit; the
+    ``cofactor_clear`` counts multiplications by the type-A curve cofactor
+    h (G1 is the order-r subgroup of E(F_q)): one per ``hash_to_g1``, but
+    only one per fused :meth:`PairingGroup.hash_msm` however many messages
+    it hashes.  The model has no such unit; the
     profiler prices it separately from the try-and-increment hash.
     """
 
@@ -111,10 +114,14 @@ class OperationCounter:
 
 
 class GroupElement:
-    """Multiplicative wrapper around a source-group (G1/G2) point.
+    """Multiplicative wrapper around a source-group point.
 
     ``a * b`` is the group operation, ``a ** n`` is exponentiation,
     ``a.inverse()`` the group inverse — matching the paper's notation.
+    The type-A pairing is symmetric, so G1 and G2 are the same curve group;
+    the ``which`` tag ("g1" or "g2") records which slot an element plays in
+    the paper's equations.  It decides what ``**`` tallies (``exp_g1`` or
+    ``exp_g2``) and is checked by :meth:`PairingGroup.pair`.
     """
 
     __slots__ = ("group", "point", "which")
@@ -130,9 +137,7 @@ class GroupElement:
         counter = self.group.counter
         if counter is not None and self.which == "g1":
             counter.mul_g1 += 1
-        return GroupElement(
-            self.group, self.group._add(self.point, other.point, self.which), self.which
-        )
+        return GroupElement(self.group, self.group._add(self.point, other.point), self.which)
 
     def __truediv__(self, other: "GroupElement") -> "GroupElement":
         return self * other.inverse()
@@ -146,18 +151,18 @@ class GroupElement:
                 counter.exp_g2 += 1
         exponent %= self.group.order
         return GroupElement(
-            self.group, self.group._scalar_mul(self.point, exponent, self.which), self.which
+            self.group, self.group._scalar_mul(self.point, exponent), self.which
         )
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group._neg(self.point, self.which), self.which)
+        return GroupElement(self.group, self.group._neg(self.point), self.which)
 
     def is_identity(self) -> bool:
-        return self.group._is_identity(self.point, self.which)
+        return self.point is None
 
     def to_bytes(self) -> bytes:
         """Canonical serialization (used for byte accounting and hashing)."""
-        return self.group._serialize(self.point, self.which)
+        return self.group._serialize(self.point)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -165,7 +170,7 @@ class GroupElement:
         return (
             self.which == other.which
             and (self.group is other.group or self.group == other.group)
-            and self.group._eq(self.point, other.point, self.which)
+            and self.point == other.point
         )
 
     def __hash__(self):
@@ -217,21 +222,24 @@ class GTElement:
         return "<GT element>"
 
 
-class PairingGroup(ABC):
-    """A bilinear group (G1, G2, GT, e) of prime order ``order``.
+class PairingGroup:
+    """A bilinear group (G1, G2, GT, e) of prime order ``order``: the
+    tallying public API.
 
-    Symmetric backends set ``is_symmetric = True`` and make G2 an alias of
-    G1 so that scheme code written for the general (type-3) API also runs on
-    the paper's symmetric setting unchanged.
+    Every method here counts what it does into the attached counter and
+    delegates the arithmetic to the backend's raw hooks (``_add``,
+    ``_neg``, ``_scalar_mul``, ``_msm``, ``_hash_to_curve``,
+    ``_clear_cofactor``, ``_miller_loop``, ``_final_exponentiation``,
+    ``_serialize`` and the ``_gt_*`` operations), which
+    :class:`~repro.pairing.type_a.TypeAPairingGroup` defines.  The hooks
+    never touch the counter.
     """
 
     order: int
-    is_symmetric: bool = False
 
     def __init__(self):
         self.counter: OperationCounter | None = None
 
-    # -- public API --------------------------------------------------------
     def attach_counter(self, counter: OperationCounter) -> None:
         """Start tallying Exp/Pair operations into ``counter``."""
         self.counter = counter
@@ -259,15 +267,21 @@ class PairingGroup(ABC):
         return GTElement(self, self._pair(p.point, q.point))
 
     def multi_pair(self, pairs: list[tuple[GroupElement, GroupElement]]) -> GTElement:
-        """Product of pairings  prod e(p_i, q_i).
+        """Product of pairings  ``prod e(p_i, q_i)``  with one shared final
+        exponentiation.
 
-        Backends may override with a shared-final-exponentiation product
-        pairing; the default multiplies individual pairings.
+        Op-count cost: one Pair per pair.
         """
-        result = self.gt_one()
+        acc = self._gt_one()
         for p, q in pairs:
-            result = result * self.pair(p, q)
-        return result
+            if p.which != "g1" or q.which != "g2":
+                raise ValueError("multi_pair expects (G1, G2) pairs")
+            if self.counter is not None:
+                self.counter.pairings += 1
+            if p.point is None or q.point is None:
+                continue
+            acc = self._gt_mul(acc, self._miller_loop(p.point, q.point))
+        return GTElement(self, self._final_exponentiation(acc))
 
     def pairings_equal(
         self, a: GroupElement, b: GroupElement, q: GroupElement
@@ -295,13 +309,13 @@ class PairingGroup(ABC):
         ``**``/``*`` loops with a Straus- or Pippenger-backed multi-scalar
         multiplication (:mod:`repro.ec.scalar_mul`).
 
-        Op-count cost: one ``exp_g1_msm`` per nonzero exponent and one
-        ``exp_g1_skipped`` per zero exponent (for G1 inputs), so the
+        Op-count cost: for G1 inputs, one ``exp_g1_msm`` per nonzero
+        exponent and one ``exp_g1_skipped`` per zero exponent, so the
         model-equivalent Exp total is identical to exponentiating each term
-        separately; the internal merge additions are not tallied as
-        ``mul_g1``.  Counting is per-term, which makes the tallies invariant
-        under any chunking of the input — the parallel fan-out relies on
-        this.
+        separately; for G2 inputs, one ``exp_g2`` per term.  The internal
+        merge additions are not tallied as ``mul_g1``.  Counting is
+        per-term, which makes the tallies invariant under any chunking of
+        the input — the parallel fan-out relies on this.
 
         Args:
             elements: group elements, all from the same source group.
@@ -321,27 +335,55 @@ class PairingGroup(ABC):
             raise ValueError("multi_exp terms must share one source group")
         reduced = [e % self.order for e in exponents]
         if self.counter is not None:
-            self._tally_msm(reduced, which)
-        point = self._msm([el.point for el in elements], reduced, which)
-        return GroupElement(self, point, which)
+            if which == "g1":
+                self._tally_g1_msm(reduced)
+            else:
+                self.counter.exp_g2 += len(reduced)
+        return GroupElement(self, self._msm([el.point for el in elements], reduced), which)
+
+    def hash_to_g1(self, data: bytes) -> GroupElement:
+        """Full-domain hash H : {0,1}* → G1: ``[h]·_hash_to_curve(data)``.
+
+        Op-count cost: one ``hash_to_g1`` and one ``cofactor_clear``.
+        """
+        if self.counter is not None:
+            self.counter.hash_to_g1 += 1
+            self.counter.cofactor_clear += 1
+        point = self._clear_cofactor(self._hash_to_curve(data))
+        if point is None:
+            # Probability h/q ~ 2^-160: the hashed point was in the small
+            # subgroup.  Retry with a domain-separated suffix.
+            return self.hash_to_g1(data + b"\x00retry")
+        return GroupElement(self, point, "g1")
 
     def hash_msm(self, messages: list[bytes], exponents: list[int]) -> GroupElement:
-        """The product  ``prod H(messages[i]) ** exponents[i]``  — Eq. 6's
-        ``∏ H(id_i)^{β_i}``.
+        """``prod H(messages[i]) ** exponents[i]``  — Eq. 6's
+        ``∏ H(id_i)^{β_i}`` — as  ``[h]·Σ (e_i mod r)·P_i``, clearing the
+        cofactor once.
 
-        The default hashes each message and runs one :meth:`multi_exp`.
-        Backends whose hash clears a cofactor override it to clear once
-        for the whole product (:meth:`TypeAPairingGroup.hash_msm
-        <repro.pairing.type_a.TypeAPairingGroup.hash_msm>`).
+        ``P_i`` is the raw try-and-increment point of ``m_i`` (in the full
+        curve group, order dividing h·r), so ``H(m_i) = [h]·P_i``.  Since
+        [h] is a homomorphism and [h]·P_i has order r, one MSM over the raw
+        points with exponents reduced mod r followed by a single [h]
+        multiplication gives exactly the point the per-message path gives —
+        except in :meth:`hash_to_g1`'s retry branch ([h]·P_i = O, probability
+        ~2^-160 per message), which this path does not detect.
 
-        Op-count cost: one ``hash_to_g1`` per message plus
-        :meth:`multi_exp`'s per-term tallies, whichever path runs.
+        Op-count cost: the per-message path's tallies (one ``hash_to_g1``
+        per message, one ``exp_g1_msm``/``exp_g1_skipped`` per term) plus a
+        single ``cofactor_clear``.
 
         Raises:
             ValueError: on empty input or length mismatch.
         """
         self._check_msm_shape(len(messages), len(exponents))
-        return self.multi_exp([self.hash_to_g1(m) for m in messages], exponents)
+        reduced = [e % self.order for e in exponents]
+        if self.counter is not None:
+            self.counter.hash_to_g1 += len(messages)
+            self.counter.cofactor_clear += 1
+            self._tally_g1_msm(reduced)
+        raw = [self._hash_to_curve(m) for m in messages]
+        return GroupElement(self, self._clear_cofactor(self._msm(raw, reduced)), "g1")
 
     @staticmethod
     def _check_msm_shape(n_terms: int, n_exponents: int) -> None:
@@ -350,39 +392,11 @@ class PairingGroup(ABC):
         if not n_terms:
             raise ValueError("need at least one term")
 
-    def _tally_msm(self, reduced: list[int], which: str) -> None:
-        """Count one MSM's terms: ``exp_g1_msm``/``exp_g1_skipped`` per term."""
-        counter = self.counter
-        if which == "g1":
-            for e in reduced:
-                if e:
-                    counter.exp_g1_msm += 1
-                else:
-                    counter.exp_g1_skipped += 1
-        else:
-            counter.exp_g2 += len(reduced)
-
-    @abstractmethod
-    def g1(self) -> GroupElement:
-        """A fixed generator of G1."""
-
-    @abstractmethod
-    def g2(self) -> GroupElement:
-        """A fixed generator of G2 (same as g1 for symmetric groups)."""
-
-    @abstractmethod
-    def hash_to_g1(self, data: bytes) -> GroupElement:
-        """Full-domain hash H : {0,1}* -> G1."""
-
-    @abstractmethod
-    def in_g1(self, element: GroupElement) -> bool:
-        """True iff ``element`` lies in the prime-order group G1.
-
-        A decoded point can be on the curve yet outside G1 when the curve
-        group has a cofactor; verifiers reject such cloud-supplied values
-        before pairing them.  Not tallied: like an MSM's internal merges,
-        it is verifier bookkeeping rather than a Table I operation.
-        """
+    def _tally_g1_msm(self, reduced: list[int]) -> None:
+        """Count one G1 MSM's terms: ``exp_g1_msm``/``exp_g1_skipped`` per term."""
+        nonzero = sum(1 for e in reduced if e)
+        self.counter.exp_g1_msm += nonzero
+        self.counter.exp_g1_skipped += len(reduced) - nonzero
 
     def random_g1(self, rng=None) -> GroupElement:
         return self.g1() ** self.random_nonzero_scalar(rng)
@@ -391,10 +405,10 @@ class PairingGroup(ABC):
         return self.g2() ** self.random_nonzero_scalar(rng)
 
     def g1_identity(self) -> GroupElement:
-        return GroupElement(self, self._identity("g1"), "g1")
+        return GroupElement(self, None, "g1")
 
     def g2_identity(self) -> GroupElement:
-        return GroupElement(self, self._identity("g2"), "g2")
+        return GroupElement(self, None, "g2")
 
     def gt_one(self) -> GTElement:
         return GTElement(self, self._gt_one())
@@ -406,76 +420,3 @@ class PairingGroup(ABC):
     def scalar_bytes(self) -> int:
         """Serialized size of a Z_r scalar."""
         return (self.order.bit_length() + 7) // 8
-
-    # -- backend primitives -------------------------------------------------
-    def _msm(self, points, exponents, which: str):
-        """Raw multi-scalar multiplication hook behind :meth:`multi_exp`.
-
-        The default folds per-term ``_scalar_mul`` results with ``_add`` and
-        works for any backend; fast backends override it with a shared-chain
-        MSM (see :meth:`repro.pairing.type_a.TypeAPairingGroup._msm`).
-        Implementations must not touch the operation counter — the caller
-        accounts per-term.
-        """
-        acc = self._identity(which)
-        for pt, e in zip(points, exponents):
-            if e == 0:
-                continue
-            acc = self._add(acc, self._scalar_mul(pt, e, which), which)
-        return acc
-
-    def _hash_to_curve(self, data: bytes):
-        """The raw curve point behind :meth:`hash_to_g1`, before cofactor
-        clearing: ``hash_to_g1(m)`` is ``_clear_cofactor(_hash_to_curve(m))``.
-
-        The default suits cofactor-1 groups.  The profiler times the two
-        hooks, with the counter detached, as the ``hash_to_g1`` and
-        ``cofactor_clear`` units.
-        """
-        return self.hash_to_g1(data).point
-
-    def _clear_cofactor(self, point):
-        """Multiply a raw G1 point by the curve cofactor (identity when 1)."""
-        return point
-
-    @abstractmethod
-    def _add(self, a, b, which: str): ...
-
-    @abstractmethod
-    def _neg(self, a, which: str): ...
-
-    @abstractmethod
-    def _scalar_mul(self, a, n: int, which: str): ...
-
-    @abstractmethod
-    def _identity(self, which: str): ...
-
-    @abstractmethod
-    def _is_identity(self, a, which: str) -> bool: ...
-
-    @abstractmethod
-    def _eq(self, a, b, which: str) -> bool: ...
-
-    @abstractmethod
-    def _serialize(self, a, which: str) -> bytes: ...
-
-    @abstractmethod
-    def _pair(self, p, q): ...
-
-    @abstractmethod
-    def _gt_mul(self, a, b): ...
-
-    @abstractmethod
-    def _gt_pow(self, a, n: int): ...
-
-    @abstractmethod
-    def _gt_inv(self, a): ...
-
-    @abstractmethod
-    def _gt_one(self): ...
-
-    @abstractmethod
-    def _gt_is_one(self, a) -> bool: ...
-
-    @abstractmethod
-    def _gt_eq(self, a, b) -> bool: ...

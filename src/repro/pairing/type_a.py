@@ -27,14 +27,12 @@ from repro.ec.hash_to_curve import hash_to_curve_try_increment
 from repro.ec.jacobian import jac_double as _jac_double
 from repro.ec.jacobian import jac_msm, jac_scalar_mul
 from repro.mathkit.ntheory import sqrt_mod
-from repro.pairing.interface import PairingGroup
+from repro.pairing.interface import GroupElement, PairingGroup
 from repro.pairing.params import TypeAParams
 
 
 class TypeAPairingGroup(PairingGroup):
     """Symmetric pairing group over PBC-style type-A parameters."""
-
-    is_symmetric = True
 
     def __init__(self, params: TypeAParams):
         super().__init__()
@@ -52,33 +50,23 @@ class TypeAPairingGroup(PairingGroup):
         return cls(params)
 
     # ------------------------------------------------------------------
-    # Generators and hashing
+    # Generators, membership and hashing
     # ------------------------------------------------------------------
     def g1(self):
-        from repro.pairing.interface import GroupElement
-
         return GroupElement(self, self._generator, "g1")
 
     def g2(self):
-        from repro.pairing.interface import GroupElement
-
         return GroupElement(self, self._generator, "g2")
 
-    def hash_to_g1(self, data: bytes):
-        from repro.pairing.interface import GroupElement
-
-        if self.counter is not None:
-            self.counter.hash_to_g1 += 1
-            self.counter.cofactor_clear += 1
-        point = self._clear_cofactor(self._hash_to_curve(data))
-        if point is None:
-            # Probability h/q ~ 2^-160: the hashed point was in the small
-            # subgroup.  Retry with a domain-separated suffix.
-            return self.hash_to_g1(data + b"\x00retry")
-        return GroupElement(self, point, "g1")
-
     def in_g1(self, element):
-        """On the curve and [r]·P = O (one exponentiation by r, untallied)."""
+        """True iff ``element`` lies in the prime-order group G1: on the
+        curve and [r]·P = O (one exponentiation by r).
+
+        A decoded point can be on the curve yet outside G1, since the curve
+        group has cofactor h; verifiers reject such cloud-supplied values
+        before pairing them.  Not tallied: like an MSM's internal merges,
+        it is verifier bookkeeping rather than a Table I operation.
+        """
         if element.which != "g1":
             return False
         point = element.point
@@ -87,45 +75,23 @@ class TypeAPairingGroup(PairingGroup):
         x, y = point
         if (y * y - x * x * x - x) % self.q:
             return False
-        return self._raw_scalar_mul(point, self.order) is None
-
-    def hash_msm(self, messages, exponents):
-        """∏ H(m_i)^{e_i} as  [h]·Σ (e_i mod r)·P_i,  clearing the cofactor once.
-
-        ``P_i`` is the raw try-and-increment point of ``m_i`` (in the full
-        curve group, order dividing h·r), so ``H(m_i) = [h]·P_i``.  Since
-        [h] is a homomorphism and [h]·P_i has order r, one MSM over the raw
-        points with exponents reduced mod r followed by a single [h]
-        multiplication gives exactly the point the per-message path gives —
-        except in :meth:`hash_to_g1`'s retry branch ([h]·P_i = O, probability
-        ~2^-160 per message), which this path does not detect.
-
-        Op-count cost: the per-message path's tallies (one ``hash_to_g1``
-        per message, one ``exp_g1_msm``/``exp_g1_skipped`` per term) plus a
-        single ``cofactor_clear``.
-        """
-        from repro.pairing.interface import GroupElement
-
-        self._check_msm_shape(len(messages), len(exponents))
-        reduced = [e % self.order for e in exponents]
-        if self.counter is not None:
-            self.counter.hash_to_g1 += len(messages)
-            self.counter.cofactor_clear += 1
-            self._tally_msm(reduced, "g1")
-        raw = [self._hash_to_curve(m) for m in messages]
-        return GroupElement(self, self._clear_cofactor(self._msm(raw, reduced, "g1")), "g1")
+        return self._scalar_mul(point, self.order) is None
 
     def _hash_to_curve(self, data: bytes):
-        """Try-and-increment onto E(F_q), before cofactor clearing."""
+        """Try-and-increment onto E(F_q), before cofactor clearing.
+
+        The profiler times this and :meth:`_clear_cofactor`, with the
+        counter detached, as the ``hash_to_g1`` and ``cofactor_clear`` units.
+        """
         return hash_to_curve_try_increment(data, self.q, 1, 0, sqrt_mod)
 
     def _clear_cofactor(self, point):
-        return self._raw_scalar_mul(point, self.params.h)
+        return self._scalar_mul(point, self.params.h)
 
     # ------------------------------------------------------------------
     # Raw affine/Jacobian point arithmetic on y² = x³ + x  (a = 1, b = 0)
     # ------------------------------------------------------------------
-    def _raw_add(self, p1, p2):
+    def _add(self, p1, p2):
         if p1 is None:
             return p2
         if p2 is None:
@@ -143,46 +109,25 @@ class TypeAPairingGroup(PairingGroup):
         y3 = (slope * (x1 - x3) - y1) % q
         return (x3, y3)
 
-    def _raw_neg(self, p):
+    def _neg(self, p):
         if p is None:
             return None
         return (p[0], (-p[1]) % self.q)
 
-    def _raw_scalar_mul(self, point, n: int):
+    def _scalar_mul(self, point, n: int):
         """``n·point`` through the one-term wNAF kernel; affine or None."""
         return jac_scalar_mul(point, n, self.q)
 
-    # ------------------------------------------------------------------
-    # PairingGroup backend primitives
-    # ------------------------------------------------------------------
-    def _add(self, a, b, which):
-        return self._raw_add(a, b)
-
-    def _neg(self, a, which):
-        return self._raw_neg(a)
-
-    def _scalar_mul(self, a, n, which):
-        return self._raw_scalar_mul(a, n)
-
-    def _msm(self, points, exponents, which):
+    def _msm(self, points, exponents):
         """Raw Jacobian MSM (Straus/Pippenger via :mod:`repro.ec.jacobian`).
 
         Runs the whole multi-scalar multiplication in Jacobian coordinates
-        with batch-normalized Pippenger buckets, instead of the default
-        per-term affine fold (which would pay one field inversion per add).
+        with batch-normalized Pippenger buckets, so no term pays the field
+        inversion an affine add would.
         """
-        return jac_msm(points, exponents, self.q, neg=self._raw_neg)
+        return jac_msm(points, exponents, self.q, neg=self._neg)
 
-    def _identity(self, which):
-        return None
-
-    def _is_identity(self, a, which):
-        return a is None
-
-    def _eq(self, a, b, which):
-        return a == b
-
-    def _serialize(self, a, which):
+    def _serialize(self, a):
         if a is None:
             return b"\x00" * (self._qbytes + 1)
         x, y = a
@@ -191,8 +136,6 @@ class TypeAPairingGroup(PairingGroup):
 
     def deserialize_g1(self, data: bytes):
         """Inverse of element serialization (compressed form)."""
-        from repro.pairing.interface import GroupElement
-
         if len(data) != self._qbytes + 1:
             raise ValueError("bad element encoding length")
         if data == b"\x00" * (self._qbytes + 1):
@@ -355,21 +298,6 @@ class TypeAPairingGroup(PairingGroup):
 
     def _gt_eq(self, x, y):
         return x == y
-
-    def multi_pair(self, pairs):
-        """Product pairing with a single shared final exponentiation."""
-        from repro.pairing.interface import GTElement
-
-        acc = (1, 0)
-        for p, q_el in pairs:
-            if p.which != "g1" or q_el.which != "g2":
-                raise ValueError("multi_pair expects (G1, G2) pairs")
-            if self.counter is not None:
-                self.counter.pairings += 1
-            if p.point is None or q_el.point is None:
-                continue
-            acc = self._gt_mul(acc, self._miller_loop(p.point, q_el.point))
-        return GTElement(self, self._final_exponentiation(acc))
 
     def __eq__(self, other):
         return isinstance(other, TypeAPairingGroup) and other.params == self.params

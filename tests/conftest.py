@@ -2,8 +2,8 @@
 
 Unit tests run on the ``toy-64`` parameter set (fast, structurally
 identical to the paper's); integration tests can request ``test80_group``;
-anything touching the paper-scale 160/512-bit parameters or the BN254
-backend is marked ``slow``.
+anything touching the paper-scale 160/512-bit parameters is marked
+``slow``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running (paper-scale parameters or BN254)")
+    config.addinivalue_line("markers", "slow: long-running (paper-scale 160/512-bit parameters)")
 
 
 @pytest.fixture(scope="session")

@@ -98,12 +98,6 @@ class TestRound:
         with pytest.raises(ValueError, match="plain powers"):
             _round(params_k4, sem, pool=object(), g1_table=table)
 
-    def test_asymmetric_group_needs_pk1_to_unblind(self, params_k4, sem, monkeypatch):
-        monkeypatch.setattr(params_k4.group, "is_symmetric", False)
-        signer = _round(params_k4, sem)
-        with pytest.raises(ValueError, match="pk1"):
-            signer.run(sem, encode_data(PAYLOAD, params_k4, b"f"))
-
 
 class TestOneTypedFailure:
     def test_is_a_value_error_with_one_message(self):

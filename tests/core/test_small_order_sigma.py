@@ -30,14 +30,14 @@ TWO_TORSION = (0, 0)
 
 def _shifted(group, element, point):
     """``element`` plus a raw curve point, re-encoded through the decoder."""
-    raw = group._raw_add(element.point, point)
+    raw = group._add(element.point, point)
     return group.deserialize_g1(GroupElement(group, raw, "g1").to_bytes())
 
 
 def _small_order_shifts(group):
     """(0, 0) and [r]·P for a raw point P: both nonzero, outside G1."""
     raw = group._hash_to_curve(b"small-order-shift")
-    shift = group._raw_scalar_mul(raw, group.order)
+    shift = group._scalar_mul(raw, group.order)
     assert shift is not None and shift != TWO_TORSION
     return [TWO_TORSION, shift]
 

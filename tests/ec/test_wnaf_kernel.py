@@ -5,7 +5,7 @@ One kernel (``repro.ec.scalar_mul._straus_core``) serves three callers:
 branch, and ``jac_scalar_mul`` — every single exponentiation and cofactor
 clearing of the type-A backend.  The loops it replaced are kept below as
 references: binary double-and-add (the former
-``TypeAPairingGroup._raw_scalar_mul``) and bit-by-bit Straus (the former
+``TypeAPairingGroup._scalar_mul``) and bit-by-bit Straus (the former
 ``_straus_core``).  Every output must equal both, and
 ``multi_scalar_mul_naive`` over the same curve, on subgroup points,
 off-subgroup points and points of small order — including odd-multiple
@@ -265,7 +265,7 @@ class TestScalarMulDifferential:
         n = data.draw(_scalars(group))
         expected = reference_double_and_add(point, n, group.q)
         assert jac_scalar_mul(point, n, group.q) == expected
-        assert group._raw_scalar_mul(point, n) == expected
+        assert group._scalar_mul(point, n) == expected
 
     @pytest.mark.parametrize("name", sorted(_GROUPS))
     def test_cofactor_clearing(self, name):
@@ -274,7 +274,7 @@ class TestScalarMulDifferential:
             raw = group._hash_to_curve(b"clear-%d" % i)
             expected = reference_double_and_add(raw, group.params.h, group.q)
             assert group._clear_cofactor(raw) == expected
-            assert group._raw_scalar_mul(expected, group.order) is None
+            assert group._scalar_mul(expected, group.order) is None
 
     @pytest.mark.parametrize("name", sorted(_GROUPS))
     def test_two_torsion_point(self, name):

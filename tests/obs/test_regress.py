@@ -28,12 +28,16 @@ def _run(phases, suite="audit", **overrides):
     return run
 
 
-def _phase(name, wall_s=0.1, exp=10, pair=2, repeats=1):
+def _phase(name, wall_s=0.1, exp=10, pair=2, repeats=1, hashes=0, cofactor=0):
     ops = {}
     if exp:
         ops["exp_g1"] = exp
     if pair:
         ops["pairings"] = pair
+    if hashes:
+        ops["hash_to_g1"] = hashes
+    if cofactor:
+        ops["cofactor_clear"] = cofactor
     return make_phase(name, wall_s, ops, repeats=repeats)
 
 
@@ -85,6 +89,30 @@ class TestOpCounts:
     def test_fewer_ops_is_an_improvement_not_a_failure(self):
         report = compare_runs(
             _run([_phase("a", exp=10)]), _run([_phase("a", exp=8)])
+        )
+        assert report.ok
+        assert report.diffs[0].status == STATUS_IMPROVED
+
+    def test_one_extra_hash_to_g1_fails(self):
+        baseline = _run([_phase("proofverify", hashes=4, cofactor=1)])
+        current = _run([_phase("proofverify", hashes=5, cofactor=1)])
+        report = compare_runs(baseline, current)
+        assert report.verdict == VERDICT_REGRESSION
+        assert any("proofverify" in f and "Δhash_to_g1=+1" in f for f in report.failures)
+        assert report.diffs[0].status == STATUS_REGRESSION
+
+    def test_one_extra_cofactor_clear_fails(self):
+        report = compare_runs(
+            _run([_phase("a", hashes=4, cofactor=1)]),
+            _run([_phase("a", hashes=4, cofactor=4)]),
+        )
+        assert report.verdict == VERDICT_REGRESSION
+        assert any("Δcofactor_clear=+3" in f for f in report.failures)
+
+    def test_fewer_cofactor_clears_is_an_improvement(self):
+        report = compare_runs(
+            _run([_phase("a", hashes=4, cofactor=4)]),
+            _run([_phase("a", hashes=4, cofactor=1)]),
         )
         assert report.ok
         assert report.diffs[0].status == STATUS_IMPROVED
@@ -199,3 +227,13 @@ class TestReporting:
         payload = report.to_dict()
         assert payload["verdict"] == VERDICT_REGRESSION
         assert payload["phases"][0]["delta_exp"] == 2
+
+    def test_to_dict_carries_hash_deltas(self):
+        report = compare_runs(
+            _run([_phase("a", hashes=3, cofactor=3)]),
+            _run([_phase("a", hashes=3, cofactor=1)]),
+        )
+        phase = report.to_dict()["phases"][0]
+        assert (phase["baseline_hash"], phase["current_hash"], phase["delta_hash"]) == (3, 3, 0)
+        assert (phase["baseline_cofactor"], phase["current_cofactor"],
+                phase["delta_cofactor"]) == (3, 1, -2)

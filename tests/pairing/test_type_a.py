@@ -17,7 +17,6 @@ class TestGroupStructure:
         assert not (g.g1() ** 1).is_identity()
 
     def test_symmetric(self, g):
-        assert g.is_symmetric
         assert g.g1().point == g.g2().point
 
     def test_identity_element(self, g):
@@ -191,6 +190,49 @@ class TestOperationCounter:
         g.detach_counter()
         _ = g.g1() ** 2
         assert counter.exp_g1 == 0
+
+
+class TestSourceGroupTags:
+    """G1 and G2 are one curve group; the ``which`` tag decides what is
+    tallied and which pairing slot an element may take."""
+
+    @staticmethod
+    def _tally(g, fn):
+        counter = OperationCounter()
+        g.attach_counter(counter)
+        try:
+            fn()
+        finally:
+            g.detach_counter()
+        return counter
+
+    def test_g2_power_tallies_exp_g2(self, g):
+        counter = self._tally(g, lambda: g.g2() ** 5)
+        assert (counter.exp_g2, counter.exp_g1) == (1, 0)
+
+    def test_g2_multi_exp_tallies_exp_g2_per_term_zeros_included(self, g):
+        terms = [g.g2(), g.g2() ** 3, g.g2()]
+        counter = self._tally(g, lambda: g.multi_exp(terms, [4, 0, 7]))
+        assert counter.exp_g2 == 3
+        assert counter.exp_g1_msm == counter.exp_g1_skipped == counter.exp_g1 == 0
+
+    def test_g1_multi_exp_splits_msm_and_skipped(self, g):
+        terms = [g.g1(), g.g1() ** 3, g.g1()]
+        counter = self._tally(g, lambda: g.multi_exp(terms, [4, 0, g.order]))
+        assert (counter.exp_g1_msm, counter.exp_g1_skipped) == (1, 2)
+        assert counter.exp_g2 == counter.exp_g1 == 0
+
+    def test_multi_exp_keeps_the_tag(self, g):
+        assert g.multi_exp([g.g2()], [5]) == g.g2() ** 5
+        assert g.multi_exp([g.g2()], [5]).which == "g2"
+
+    def test_pair_rejects_g1_in_the_g2_slot(self, g):
+        with pytest.raises(ValueError):
+            g.pair(g.g1(), g.g1())
+
+    def test_multi_pair_rejects_g2_in_the_g1_slot(self, g):
+        with pytest.raises(ValueError):
+            g.multi_pair([(g.g2(), g.g2())])
 
 
 class TestAcrossParamSets:

@@ -110,7 +110,7 @@ def _small_order_points(group, name):
         for d in _SMALL_FACTORS[name]:
             for power in (d, d * d, 2 * d, 4 * d):
                 if group.params.h % power == 0:
-                    pt = group._raw_scalar_mul(raw, cofactor_part // power)
+                    pt = group._scalar_mul(raw, cofactor_part // power)
                     if pt is not None:
                         points.add(pt)
     points.add((0, 0))  # the F_q-rational 2-torsion point of y² = x³ + x
@@ -172,8 +172,8 @@ class TestMillerLoopDifferential:
         still runs to the end, so that branch has a value to compare (no
         divisor of h at toy-64 or test-80 reaches it)."""
         raw = _raw_point(paper_group, 0)
-        p = paper_group._raw_scalar_mul(raw, paper_group.order * paper_group.params.h // 103)
-        assert p is not None and paper_group._raw_scalar_mul(p, 103) is None
+        p = paper_group._scalar_mul(raw, paper_group.order * paper_group.params.h // 103)
+        assert p is not None and paper_group._scalar_mul(p, 103) is None
         assert assert_loops_agree(paper_group, p, paper_group.g2().point)
 
 

@@ -118,10 +118,3 @@ class TestSequentialBaseline:
         sem.fail_mode = "byzantine"
         result = pipeline.sign_sequential(make_request(b"t", n_blocks=1))
         assert not result.ok and "Eq. 4" in result.error
-
-
-class TestConstruction:
-    def test_asymmetric_needs_org_pk_g1(self, params_k4, sem, monkeypatch):
-        monkeypatch.setattr(params_k4.group, "is_symmetric", False)
-        with pytest.raises(ValueError, match="org_pk_g1"):
-            SigningPipeline(params_k4, sem, sem.pk)
