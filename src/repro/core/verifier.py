@@ -5,6 +5,11 @@ Verification checks Eq. 6:
 
     e(σ, g)  ==  e( ∏_{i∈I} H(id_i)^{β_i} · ∏_{l=1}^{k} u_l^{α_l} ,  pk ).
 
+One body evaluates it (``PublicVerifier._fold``): many audits fold into a
+single random-weight check, one audit is the weight-1 case, and
+``PublicVerifier.failing`` bisects a failed fold to name the bad proofs
+(multi-prover auditing after Paterson–Stinson).
+
 The verifier needs only the public key, the block identifiers, and the
 (k + 1)-element response — never the data itself.  Anonymity is structural:
 everything on the right-hand side involves the *organization's* key, so
@@ -106,73 +111,128 @@ class PublicVerifier:
     def verify(self, challenge: Challenge, response: ProofResponse) -> bool:
         """Eq. 6.  True iff the challenged blocks are intact.
 
-        A σ outside G1 (e.g. an honest σ plus a point of small order, which
-        the pairing cannot see) is rejected before any pairing.
+        The one-audit case of :meth:`verify_batch`: a lone audit folds at
+        weight 1, so no weight is drawn (the verifier rng is untouched) and
+        σ is paired as is.  Op-count cost: c ``hash_to_g1``, one
+        ``cofactor_clear``, (c + k) Exp_G1 (``exp_g1_msm`` per nonzero
+        exponent, ``exp_g1_skipped`` per zero α_l — Section VI-A2 counts
+        (c + k) Exp unconditionally) and 2 Pair.
         """
-        if len(response.alphas) != self.params.k:
-            return False
-        if not self.group.in_g1(response.sigma):
-            return False
-        chi = self._challenge_aggregate(challenge, response)
-        return self.group.pairings_equal(response.sigma, chi, self.org_pk)
+        return self.verify_batch([(challenge, response)])
 
     def verify_batch(
         self, audits: list[tuple[Challenge, ProofResponse]], rng=None
     ) -> bool:
-        """Batch-verify audits of several files with 2 pairings total.
+        """Verify audits of several files with one folded Eq. 6 check.
 
         All files are signed under the same organization key, so L audit
-        equations combine with random small weights w_i:
+        equations combine with random weights w_i (drawn from ``rng``, else
+        the verifier's own):
 
-            e(∏ σ_i^{w_i}, g)  ==  e(∏ χ_i^{w_i}, pk).
+            e(∏ σ_i^{w_i}, g)  ==  e(∏ χ_i^{w_i}, pk),
 
-        Sound except with probability ~L/p.  (This is the multi-request
-        batching WCWRL11 advertises, free in our setting because there is
-        only ever one verification key.)  Every σ_i must lie in G1: a
-        small-order component would otherwise survive any weighting the
-        pairing cannot see.
+        2 pairings for any L (the multi-request batching WCWRL11
+        advertises, free here because there is only ever one verification
+        key).  Sound except with probability ≤ 1/(r − 1) per bad proof.
+        Every response is screened first — k α's and σ ∈ G1 — since a
+        small-order σ component would survive any weighting the pairing
+        cannot see.  The empty batch is vacuously True.
         """
-        if not audits:
-            return True
-        weights = []
-        for _ in audits:
-            if rng is not None:
-                weights.append(rng.randrange(1, self.params.order))
-            elif self._rng is not None:
-                weights.append(self._rng.randrange(1, self.params.order))
-            else:
-                weights.append(secrets.randbelow(self.params.order - 1) + 1)
-        sigma_acc: GroupElement | None = None
-        chi_acc: GroupElement | None = None
-        for (challenge, response), weight in zip(audits, weights):
-            if len(response.alphas) != self.params.k:
-                return False
-            if not self.group.in_g1(response.sigma):
-                return False
-            chi = self._challenge_aggregate(challenge, response) ** weight
-            sigma = response.sigma**weight
-            sigma_acc = sigma if sigma_acc is None else sigma_acc * sigma
-            chi_acc = chi if chi_acc is None else chi_acc * chi
-        return self.group.pairings_equal(sigma_acc, chi_acc, self.org_pk)
+        if any(not self._well_formed(response) for _, response in audits):
+            return False
+        everyone = range(len(audits))
+        return not audits or self._fold(audits, self._weights(everyone, rng), everyone)
 
-    def _challenge_aggregate(self, challenge: Challenge, response: ProofResponse) -> GroupElement:
-        """χ = ∏ H(id_i)^{β_i} · ∏ u_l^{α_l}  (the RHS element of Eq. 6).
+    def failing(
+        self, audits: list[tuple[Challenge, ProofResponse]], rng=None
+    ) -> list[int]:
+        """Indices (ascending) of the audits whose proofs fail Eq. 6.
 
-        The hash part comes from :meth:`~repro.pairing.interface.PairingGroup.hash_msm`
-        — on type A, one c-term MSM over the raw try-and-increment points
-        and a single cofactor clearing — fanned out across workers when a
-        :class:`~repro.core.parallel.WorkerPool` is attached; the k-term
-        u-part is one local MSM.  Op-count cost: (c + k) Exp_G1
-        (``exp_g1_msm`` for nonzero exponents, ``exp_g1_skipped`` for zero
-        α_l — Section VI-A2 counts (c + k) Exp unconditionally) plus
-        c ``hash_to_g1``.
+        Malformed responses are named by the screen, without a pairing.
+        The rest fold once (:meth:`verify_batch`'s check); only when that
+        fold fails does the batch bisect, each half folding again under
+        the same weights, down to single proofs.  A proof is named only
+        when a fold over it alone, at weight 1, fails — exactly
+        :meth:`verify`'s verdict, so an honest proof is never blamed.
+
+        Cost: a clean batch is one fold (2 pairings); one bad proof among
+        L costs at most 2⌈log₂ L⌉ + 1 folds.  The weights are drawn once,
+        after every proof is in hand, so no prover can adapt to them; each
+        passing fold wrongly clears a bad proof with probability at most
+        1/(r − 1) (its Eq. 6 defect, raised to a uniform nonzero w_i, must
+        cancel the others' exactly).
         """
-        if not challenge.block_ids:
-            raise ValueError("empty challenge")
-        h_part = (self.pool or self.group).hash_msm(
-            list(challenge.block_ids), list(challenge.betas)
-        )
-        u_part = self.group.multi_exp(list(self.params.u), list(response.alphas))
+        malformed = [i for i, (_, response) in enumerate(audits)
+                     if not self._well_formed(response)]
+        screened = set(malformed)
+        rest = [i for i in range(len(audits)) if i not in screened]
+        if not rest:
+            return malformed
+        weights = self._weights(rest, rng)
+        return sorted(malformed + self._bisect(audits, weights, rest))
+
+    def _bisect(self, audits, weights: dict[int, int], subset: list[int]) -> list[int]:
+        if self._fold(audits, weights, subset):
+            return []
+        if len(subset) == 1:
+            return list(subset)
+        mid = len(subset) // 2
+        return (self._bisect(audits, weights, subset[:mid])
+                + self._bisect(audits, weights, subset[mid:]))
+
+    def _well_formed(self, response: ProofResponse) -> bool:
+        """k α's and σ ∈ G1 — the screen every response passes before any
+        weighting or pairing."""
+        return (len(response.alphas) == self.params.k
+                and self.group.in_g1(response.sigma))
+
+    def _weights(self, indices, rng) -> dict[int, int]:
+        """One random weight in [1, r) per audit index; a lone audit gets
+        weight 1 and draws nothing."""
+        if len(indices) == 1:
+            return {indices[0]: 1}
+        source = rng if rng is not None else self._rng
+        order = self.params.order
+        if source is None:
+            return {i: secrets.randbelow(order - 1) + 1 for i in indices}
+        return {i: source.randrange(1, order) for i in indices}
+
+    def _fold(self, audits, weights: dict[int, int], subset) -> bool:
+        """Eq. 6 over the audits in ``subset``, folded with ``weights``:
+
+            e(∏ σ_i^{w_i}, g)  ==  e(∏ H(id_ij)^{w_i·β_ij} · ∏ u_l^{Σ_i w_i·α_il}, pk).
+
+        The hash part is one :meth:`~repro.pairing.interface.PairingGroup.hash_msm`
+        over every challenged id — on type A a single MSM over the raw
+        try-and-increment points and one cofactor clearing — fanned out
+        across workers when a :class:`~repro.core.parallel.WorkerPool` is
+        attached; the u-part is one k-term MSM, σ one L-term MSM, and the
+        two sides share one ``pairings_equal``.  A single audit folds at
+        weight 1, so its σ is used directly.
+        """
+        order = self.params.order
+        single = len(subset) == 1
+        ids: list[bytes] = []
+        exponents: list[int] = []
+        alphas = [0] * self.params.k
+        for i in subset:
+            challenge, response = audits[i]
+            if not challenge.block_ids:
+                raise ValueError("empty challenge")
+            w = 1 if single else weights[i]
+            ids.extend(challenge.block_ids)
+            exponents.extend(w * beta % order for beta in challenge.betas)
+            for l, alpha in enumerate(response.alphas):
+                alphas[l] += w * alpha
+        h_part = (self.pool or self.group).hash_msm(ids, exponents)
+        u_part = self.group.multi_exp(list(self.params.u), alphas)
         # Raw, uncounted merge — multi_exp doesn't tally its internal
         # additions either.
-        return GroupElement(self.group, self.group._add(h_part.point, u_part.point), "g1")
+        chi = GroupElement(self.group, self.group._add(h_part.point, u_part.point), "g1")
+        if single:
+            sigma = audits[subset[0]][1].sigma
+        else:
+            sigma = self.group.multi_exp(
+                [audits[i][1].sigma for i in subset], [weights[i] for i in subset]
+            )
+        return self.group.pairings_equal(sigma, chi, self.org_pk)

@@ -10,18 +10,16 @@ its properties:
   Z_p (Vandermonde evaluation encoding / Lagrange-interpolation decoding),
   operating directly on block *elements*, so coded blocks are ordinary
   SEM-PDP blocks and get blind-signed like any other;
-* :mod:`repro.erasure.resilient` — a resilient store that encodes, signs,
-  and uploads; *localizes* corruption with deterministic binary-split
-  group testing (the same Challenge/Response machinery over ranges); and
-  repairs the file from any sufficiently large healthy subset;
 * :mod:`repro.erasure.placement` — the explicit slot → server map for
   files striped across a fleet, including the derived per-slice SEM-PDP
   file ids;
 * :mod:`repro.erasure.fleet` — the multi-cloud fleet store: stripes
-  coded slots across many servers, audits them concurrently with
-  cross-server proof aggregation, quarantines failing servers via the
-  :class:`~repro.service.cloud_health.CloudScoreboard`, and repairs lost
-  slots by reconstruct → re-sign → re-upload, ledger-recorded.
+  coded slots across many servers, audits them with one folded Eq. 6
+  check per round that bisects to name the failing proofs
+  (:meth:`~repro.core.verifier.PublicVerifier.failing`), quarantines
+  failing servers via the :class:`~repro.service.cloud_health.CloudScoreboard`,
+  and repairs lost slots by reconstruct → re-sign → re-upload,
+  ledger-recorded.
 """
 
 from repro.erasure.fleet import (
@@ -35,7 +33,6 @@ from repro.erasure.fleet import (
 )
 from repro.erasure.placement import PlacementMap, StripePlacement, slice_file_id
 from repro.erasure.reed_solomon import ReedSolomonCode
-from repro.erasure.resilient import ResilientStore, RepairReport
 
 __all__ = [
     "FleetAuditReport",
@@ -43,9 +40,7 @@ __all__ = [
     "FleetStore",
     "PlacementMap",
     "ReedSolomonCode",
-    "RepairReport",
     "RepairTask",
-    "ResilientStore",
     "ServerHandle",
     "ServerUnavailable",
     "StripePlacement",

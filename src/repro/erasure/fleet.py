@@ -1,13 +1,12 @@
 """Erasure-coded multi-cloud fleet: striped storage, concurrent audits,
 quarantine, and audit-driven reconstruct-and-re-upload repair.
 
-:class:`~repro.erasure.resilient.ResilientStore` survives corrupt
-*blocks* inside one cloud; this module survives the loss of whole
-*servers*.  A file is cut into stripes of ``data_shards`` blocks, each
-stripe RS-extended to ``width = data_shards + parity_shards`` coded
-words, and coded slot ``j`` of every stripe lives on fleet server ``j``
-(the :class:`~repro.erasure.placement.PlacementMap` records the
-assignment explicitly).  Losing up to ``parity_shards`` servers is
+This module survives the loss of whole *servers*.  A file is cut into
+stripes of ``data_shards`` blocks, each stripe RS-extended to
+``width = data_shards + parity_shards`` coded words, and coded slot
+``j`` of every stripe lives on fleet server ``j`` (the
+:class:`~repro.erasure.placement.PlacementMap` records the assignment
+explicitly).  Losing up to ``parity_shards`` servers is
 recoverable: every stripe still has ``data_shards`` survivors — the MDS
 bound, now at server granularity.
 
@@ -15,13 +14,13 @@ The audit loop is the paper's protocol, fleet-wide:
 
 * each (file, slot) slice is an ordinary SEM-PDP file under a derived
   id, so per-server challenges are ordinary Eq. 6 audits.  The attached
-  :class:`~repro.core.parallel.WorkerPool` fans each challenge's
-  hash-MSM and each proof's signature-MSM across workers, with op
-  tallies invariant under the worker count;
-* proofs from every responding server additionally combine into one
-  random-weight cross-server check
-  (:meth:`~repro.core.verifier.PublicVerifier.verify_batch`, 2 pairings
-  total) — the cheap fleet-is-healthy fast path;
+  :class:`~repro.core.parallel.WorkerPool` fans the round's hash-MSM and
+  each proof's signature-MSM across workers, with op tallies invariant
+  under the worker count;
+* the proofs of every responding server fold into one random-weight
+  Eq. 6 check (:meth:`~repro.core.verifier.PublicVerifier.failing`,
+  2 pairings for a healthy round), which bisects only on failure to name
+  the invalid slices;
 * a server that fails Eq. 6 **or cannot answer** feeds the
   :class:`~repro.service.cloud_health.CloudScoreboard`; a streak trips
   the breaker and quarantines the server with half-open probes, exactly
@@ -300,44 +299,63 @@ class FleetStore:
         self.handles[name].online = online
 
     def audit_round(self, sample_size: int | None = None) -> FleetAuditReport:
-        """One concurrent per-server audit round with cross-server
-        aggregation; quarantined servers are skipped (until their window
-        lapses into a half-open probe)."""
+        """One audit round over every contactable server; quarantined
+        servers are skipped (until their window lapses into a half-open
+        probe).
+
+        Every slice is challenged and its proof collected first; then one
+        :meth:`~repro.core.verifier.PublicVerifier.failing` call names the
+        invalid proofs — a single folded Eq. 6 check (2 pairings) when
+        the fleet is healthy, a bisection only when it is not.  A server's
+        outcome is ``timeout`` if it could not answer, else ``invalid`` if
+        any of its proofs failed, else ``ok``.
+        """
         self.scoreboard.begin_round()
         healthy, quarantined = self.scoreboard.contact_order()
         report = FleetAuditReport(
             round=self.scoreboard.round,
             skipped_servers=tuple(self.scoreboard.name_of(i) for i in quarantined),
         )
-        aggregable = []
         with self.obs.tracer.span("fleet.audit", servers=len(healthy)) as span:
-            for index in healthy:
-                name = self.scoreboard.name_of(index)
-                outcome = self._audit_server(name, sample_size, report, aggregable)
-                if outcome == "ok":
-                    self.scoreboard.record_success(index)
-                elif outcome == "invalid":
-                    self.scoreboard.record_invalid(index)
-                elif outcome == "timeout":
-                    self.scoreboard.record_timeout(index)
-            if aggregable:
-                report.aggregate_ok = self.verifier.verify_batch(aggregable)
+            polls = [(index, self._poll_server(self.scoreboard.name_of(index),
+                                               sample_size))
+                     for index in healthy]
+            audits = [(challenge, proof) for _, slices in polls
+                      for *_, challenge, proof in slices if proof is not None]
+            bad = set(self.verifier.failing(audits))
+            if audits:
+                report.aggregate_ok = not bad
+            record = {"ok": self.scoreboard.record_success,
+                      "invalid": self.scoreboard.record_invalid,
+                      "timeout": self.scoreboard.record_timeout}
+            answered = 0
+            for index, slices in polls:
+                if not slices:
+                    continue
+                outcome = "ok"
+                for name, file_id, slot, slice_id, challenge, proof in slices:
+                    if proof is None:
+                        status = outcome = "timeout"
+                    else:
+                        ok = answered not in bad
+                        answered += 1
+                        self._record_audit(slice_id, challenge, proof, ok)
+                        status = "ok" if ok else "invalid"
+                        if not ok:  # a timeout, if any, is the server's last entry
+                            outcome = "invalid"
+                    report.verdicts.append(SliceVerdict(name, file_id, slot, status))
+                record[outcome](index)
             span.set(checks=report.checks, failures=report.failures,
                      timeouts=report.timeouts)
         return report
 
-    def _audit_server(self, name: str, sample_size, report: FleetAuditReport,
-                      aggregable: list) -> str | None:
-        """Audit every slice on one server; returns the round outcome."""
+    def _poll_server(self, name: str, sample_size) -> list[tuple]:
+        """Challenge every slice on one server and collect its proofs:
+        ``(name, file_id, slot, slice_id, challenge, proof)`` per slice,
+        ending with a ``proof=None`` entry if the server stopped answering."""
         handle = self.handles[name]
-        slices = [
-            (file_id, slot)
-            for file_id, slot in self.placements.slots_on(name)
-        ]
-        if not slices:
-            return None
-        outcome = "ok"
-        for file_id, slot in slices:
+        polled = []
+        for file_id, slot in self.placements.slots_on(name):
             placement = self.placements.get(file_id)
             slice_id = placement.slice_id(slot)
             challenge = self.verifier.generate_challenge(
@@ -346,18 +364,10 @@ class FleetStore:
             try:
                 proof = handle.generate_proof(slice_id, challenge)
             except (ConnectionError, TimeoutError):
-                report.verdicts.append(SliceVerdict(name, file_id, slot, "timeout"))
-                return "timeout"
-            ok = self.verifier.verify(challenge, proof)
-            self._record_audit(slice_id, challenge, proof, ok)
-            report.verdicts.append(
-                SliceVerdict(name, file_id, slot, "ok" if ok else "invalid")
-            )
-            if ok:
-                aggregable.append((challenge, proof))
-            else:
-                outcome = "invalid"
-        return outcome
+                polled.append((name, file_id, slot, slice_id, challenge, None))
+                break
+            polled.append((name, file_id, slot, slice_id, challenge, proof))
+        return polled
 
     def _record_audit(self, slice_id: bytes, challenge, proof, ok: bool) -> None:
         if self.ledger is None:

@@ -18,12 +18,13 @@ seed), ``verifier_key`` entries pin each verifier's public key, and every
 proof (sigma + alphas), so Eq. 6 can be re-evaluated from the ledger alone
 — a forged verdict with a consistently re-chained hash tail still fails.
 
-Crash semantics follow the signing journal's discipline
-(:mod:`repro.service.journal`): appends are flushed line-writes, a torn
-final line (the write that was racing the crash) is truncated away on
-reopen, and anything torn *before* the final line is corruption and
-raises.  Epoch ``checkpoint`` entries every N appends pin (epoch, entry
-count, head-so-far) so an auditor can spot-check long chains.
+Crash semantics are those of the append-only JSONL primitive defined
+here and shared with the signing journal (:mod:`repro.service.journal`):
+appends are flushed line-writes, a torn final line (the write that was
+racing the crash, bad UTF-8 included) is truncated away on reopen, and
+anything torn *before* the final line is corruption and raises.  Epoch
+``checkpoint`` entries every N appends pin (epoch, entry count,
+head-so-far) so an auditor can spot-check long chains.
 """
 
 from __future__ import annotations
@@ -90,14 +91,8 @@ class Ledger:
 
     # -- recovery ------------------------------------------------------------
     def _resume(self) -> None:
-        entries, torn = read_ledger(self.path)
+        entries, torn = recover_jsonl(self.path, LedgerError, "ledger")
         self.torn_tail = torn
-        if torn:
-            # Drop the torn tail so the next append re-extends a clean chain.
-            with open(self.path, "r+b") as handle:
-                data = handle.read()
-                keep = data.rfind(b"\n") + 1
-                handle.truncate(keep)
         for entry in entries:
             if entry_hash(entry) != entry["hash"]:
                 raise LedgerError(
@@ -131,12 +126,7 @@ class Ledger:
         if self.path is None:
             self.entries.append(entry)
         else:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+            append_jsonl(self.path, entry, fsync=self.fsync, sort_keys=True)
         if self._seq % self.epoch_len == 0 and kind != "checkpoint":
             self.append("checkpoint", {
                 "epoch": self._seq // self.epoch_len,
@@ -177,6 +167,57 @@ class Ledger:
         }
 
 
+# -- the append-only JSONL primitive ----------------------------------------
+
+def read_jsonl(path, error: type[Exception], what: str) -> tuple[list[dict], bool]:
+    """Parse an append-only JSONL file; returns (records, torn_tail).
+
+    The file is read as bytes.  A final line that is not valid UTF-8 JSON
+    is the append a crash interrupted: it is reported as torn and left
+    out.  A malformed line anywhere else — a flipped bit breaks UTF-8 as
+    easily as JSON — raises ``error("corrupt <what> record at line N")``.
+    """
+    records: list[dict] = []
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    for lineno, raw in enumerate(lines):
+        if not raw.strip():
+            continue
+        try:
+            records.append(json.loads(raw.decode("utf-8")))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            if lineno == len(lines) - 1:
+                return records, True
+            raise error(f"corrupt {what} record at line {lineno + 1}") from None
+    return records, False
+
+
+def recover_jsonl(path, error: type[Exception], what: str) -> tuple[list[dict], bool]:
+    """:func:`read_jsonl`, then cut the torn tail off the file so the next
+    append starts on a record boundary instead of extending the partial
+    line (which a later reopen would reject as corruption)."""
+    records, torn = read_jsonl(path, error, what)
+    with open(path, "r+b") as handle:
+        data = handle.read()
+        if torn:
+            handle.truncate(data.rfind(b"\n") + 1)
+        elif data and not data.endswith(b"\n"):
+            handle.write(b"\n")  # the crash fell between a record and its newline
+    return records, torn
+
+
+def append_jsonl(path, record: dict, fsync: bool = False,
+                 sort_keys: bool = False) -> None:
+    """Append one record as a compact JSON line, flushed (and fsynced on
+    request) before returning."""
+    line = json.dumps(record, sort_keys=sort_keys, separators=(",", ":"))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+
+
 # -- offline reading ---------------------------------------------------------
 
 def read_ledger(path) -> tuple[list[dict], bool]:
@@ -186,21 +227,7 @@ def read_ledger(path) -> tuple[list[dict], bool]:
     malformed line anywhere else raises :class:`LedgerError` — the chain
     behind it is unusable.
     """
-    entries: list[dict] = []
-    with open(path, "rb") as handle:
-        lines = handle.read().splitlines()
-    for lineno, raw in enumerate(lines):
-        if not raw.strip():
-            continue
-        try:
-            entries.append(json.loads(raw.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            # A flipped bit can break UTF-8 just as easily as JSON; both
-            # are tamper unless it is the torn final line of a crash.
-            if lineno == len(lines) - 1:
-                return entries, True
-            raise LedgerError(f"corrupt ledger record at line {lineno + 1}")
-    return entries, False
+    return read_jsonl(path, LedgerError, "ledger")
 
 
 def ledger_head(path) -> dict | None:

@@ -35,7 +35,7 @@ from repro.obs.slo import (
 from repro.obs.timeseries import TimeSeriesStore
 from repro.scenarios.schema import BurnWindowSpec, ObjectiveSpec, Scenario, SLOSpec
 
-__all__ = ["SLOHarness", "default_slo_spec", "objectives_from_spec"]
+__all__ = ["AlertPlane", "SLOHarness", "default_slo_spec", "objectives_from_spec"]
 
 #: Default sampler cadence: this many windows across the run duration.
 SAMPLES_PER_RUN = 50
@@ -87,23 +87,21 @@ def default_slo_spec() -> SLOSpec:
     )
 
 
-class SLOHarness:
-    """Everything SLO-shaped for one run, armed on the timer wheel.
+class AlertPlane:
+    """The SLO machinery every harness shares, armed on the timer wheel.
 
-    Construction binds the SLI collectors, attaches the sampler + alert
-    engine, and installs the meter; :meth:`finalize` runs the last
-    evaluation at the end of virtual time, computes the error-budget
-    rows, and closes the metering epoch (before the runner seals the
-    ledger, so metering records precede the ``run_summary`` entry).
+    :meth:`_arm` (called once the SLI sources are bound) compiles the
+    objectives, attaches the virtual-time sampler and the burn-rate alert
+    engine; :meth:`finalize` runs the last evaluation at the end of
+    virtual time and computes the error-budget rows; :meth:`check_expected`
+    holds a run to its declared alert set.
     """
 
-    def __init__(self, scenario: Scenario, compiled, registry, ledger=None):
+    def _arm(self, scenario: Scenario, sim, registry) -> None:
         spec = scenario.slos
         duration = scenario.settings.duration_s
         self.spec = spec
         self.objectives = objectives_from_spec(spec)
-        sim = compiled.sim
-        self._bind_slis(registry, compiled)
         self.store = TimeSeriesStore(registry, clock=lambda: sim.now)
         self.engine = AlertEngine(
             compile_rules(self.objectives, duration), self.store
@@ -111,17 +109,10 @@ class SLOHarness:
         self.store.on_sample = self.engine.evaluate
         interval = spec.sample_interval_s or duration / SAMPLES_PER_RUN
         self._attach_sampler(sim, interval, duration)
-        self.meter = Meter(compiled.counter, self._scope_map(scenario),
-                           ledger=ledger)
-        self._add_usage_sources(compiled)
-        self.meter.install(sim)
-        epoch_s = spec.epoch_s or duration / EPOCHS_PER_RUN
-        self._attach_meter(sim, epoch_s, duration)
         self.duration = duration
         self.budget_rows: list[dict] = []
         self._finalized = False
 
-    # -- timer wiring --------------------------------------------------------
     def _attach_sampler(self, sim, interval_s: float, horizon_s: float) -> None:
         """Like :meth:`TimeSeriesStore.attach`, but daemon + horizon-bounded.
 
@@ -138,10 +129,61 @@ class SLOHarness:
             if sim.now < horizon_s and sim.pending_events():
                 sim.schedule(interval_s, fire, daemon=True)
 
-        store.clock = lambda: sim.now
         store.sample(sim.now)  # t=0 baseline for partial-window math
         sim.schedule(interval_s, fire, daemon=True)
 
+    def finalize(self, virtual_end: float) -> None:
+        if self._finalized:
+            return
+        self._finalized = True
+        self.store.sample(virtual_end)  # closes the last window + evaluates
+        self.budget_rows = error_budget_report(
+            self.objectives, self.store, self.duration, virtual_end
+        )
+
+    def expected_alerts(self) -> tuple[str, ...]:
+        return self.spec.expected_alerts
+
+    def check_expected(self, fired: list[str]) -> tuple[list[str], list[str]]:
+        """(unexpected, missing) against the declared expectations.
+
+        An expectation ``"obj"`` covers any severity of that objective;
+        ``"obj:severity"`` is exact.  Exactness cuts both ways: every
+        fired alert must be expected and every expectation must fire.
+        """
+        expected = set(self.spec.expected_alerts)
+        unexpected = [
+            f for f in fired
+            if f not in expected and f.split(":")[0] not in expected
+        ]
+        missing = [
+            e for e in sorted(expected)
+            if not any(f == e or f.split(":")[0] == e for f in fired)
+        ]
+        return unexpected, missing
+
+
+class SLOHarness(AlertPlane):
+    """Everything SLO-shaped for one compiled run, armed on the timer wheel.
+
+    Construction binds the SLI collectors, arms the shared
+    :class:`AlertPlane`, and installs the meter; :meth:`finalize` also
+    closes the metering epoch (before the runner seals the ledger, so
+    metering records precede the ``run_summary`` entry).
+    """
+
+    def __init__(self, scenario: Scenario, compiled, registry, ledger=None):
+        sim = compiled.sim
+        self._bind_slis(registry, compiled)
+        self._arm(scenario, sim, registry)
+        self.meter = Meter(compiled.counter, self._scope_map(scenario),
+                           ledger=ledger)
+        self._add_usage_sources(compiled)
+        self.meter.install(sim)
+        epoch_s = self.spec.epoch_s or self.duration / EPOCHS_PER_RUN
+        self._attach_meter(sim, epoch_s, self.duration)
+
+    # -- timer wiring --------------------------------------------------------
     def _attach_meter(self, sim, epoch_s: float, horizon_s: float) -> None:
         meter = self.meter
 
@@ -224,33 +266,6 @@ class SLOHarness:
 
     # -- end of run ----------------------------------------------------------
     def finalize(self, virtual_end: float) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
-        self.store.sample(virtual_end)  # closes the last window + evaluates
-        self.budget_rows = error_budget_report(
-            self.objectives, self.store, self.duration, virtual_end
-        )
-        self.meter.close(virtual_end)
-
-    # -- expectations --------------------------------------------------------
-    def expected_alerts(self) -> tuple[str, ...]:
-        return self.spec.expected_alerts
-
-    def check_expected(self, fired: list[str]) -> tuple[list[str], list[str]]:
-        """(unexpected, missing) against the declared expectations.
-
-        An expectation ``"obj"`` covers any severity of that objective;
-        ``"obj:severity"`` is exact.  Exactness cuts both ways: every
-        fired alert must be expected and every expectation must fire.
-        """
-        expected = set(self.spec.expected_alerts)
-        unexpected = [
-            f for f in fired
-            if f not in expected and f.split(":")[0] not in expected
-        ]
-        missing = [
-            e for e in sorted(expected)
-            if not any(f == e or f.split(":")[0] == e for f in fired)
-        ]
-        return unexpected, missing
+        if not self._finalized:
+            super().finalize(virtual_end)
+            self.meter.close(virtual_end)

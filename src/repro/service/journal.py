@@ -23,17 +23,20 @@ the ``accepted`` record existed.  Replay is idempotent: dedupe is by
 request id, so zero requests are lost and zero are signed twice.
 
 The final line of the file may be truncated (the crash happened mid-
-append); it is treated as if never written, which is safe in both cases —
-a torn ``accepted`` means the client never got an admission acknowledgment
-(it retries), a torn ``done`` merely re-signs one batch after restart.
+append); it is treated as if never written and cut off on load, so the
+restarted service appends on a clean line (the JSONL primitive shared
+with the audit ledger, :func:`repro.obs.ledger.recover_jsonl`).  That is
+safe in both cases — a torn ``accepted`` means the client never got an
+admission acknowledgment (it retries), a torn ``done`` merely re-signs
+one batch after restart.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.core.blocks import Block
+from repro.obs.ledger import append_jsonl, recover_jsonl
 from repro.service.api import ResponseStatus, SignRequest, SignResponse
 
 
@@ -134,21 +137,9 @@ class SigningJournal:
 
     # -- persistence ---------------------------------------------------------
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as stream:
-            lines = stream.readlines()
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    # Torn tail: the crash interrupted this append.  The
-                    # record never "happened" — see the module docstring.
-                    self.torn_lines += 1
-                    break
-                raise JournalError(f"corrupt journal record at line {lineno + 1}")
+        records, torn = recover_jsonl(self.path, JournalError, "journal")
+        self.torn_lines += torn
+        for record in records:
             self._apply(record)
 
     def _apply(self, record: dict) -> None:
@@ -164,13 +155,6 @@ class SigningJournal:
         else:
             raise JournalError(f"unknown journal record kind {kind!r}")
 
-    def _append(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record, separators=(",", ":")) + "\n")
-            stream.flush()
-            if self.fsync:
-                os.fsync(stream.fileno())
-
     # -- writes --------------------------------------------------------------
     def record_accepted(self, request: SignRequest) -> None:
         """Journal an admitted request (idempotent by request id)."""
@@ -178,7 +162,7 @@ class SigningJournal:
             return
         self._accepted[request.request_id] = request
         self._order.append(request.request_id)
-        self._append(_encode_request(request))
+        append_jsonl(self.path, _encode_request(request), fsync=self.fsync)
 
     def record_terminal(self, response: SignResponse) -> None:
         """Journal a terminal response (idempotent by request id).
@@ -193,7 +177,7 @@ class SigningJournal:
         if response.request_id in self._completed:
             return
         self._completed[response.request_id] = response
-        self._append(_encode_response(response))
+        append_jsonl(self.path, _encode_response(response), fsync=self.fsync)
 
     # -- recovery ------------------------------------------------------------
     def completed_response(self, request_id: int) -> SignResponse | None:

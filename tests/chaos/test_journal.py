@@ -104,6 +104,54 @@ class TestJournalUnit:
         with pytest.raises(JournalError, match="line 1"):
             SigningJournal(path, group=group)
 
+    def test_two_crashes_keep_pending_set(self, tmp_path, params_k4, group):
+        """Each reopen cuts the torn tail, so the next append starts a
+        clean line and a second crash + reopen still loads."""
+        path = tmp_path / "j"
+        SigningJournal(path, group=group).record_accepted(
+            make_blocks_request(params_k4, request_id=50))
+        with open(path, "a") as fh:
+            fh.write('{"rec": "done", "id": 50, "stat')  # first crash
+        reopened = SigningJournal(path, group=group)
+        reopened.record_accepted(make_blocks_request(params_k4, request_id=51, tag=b"k"))
+        with open(path, "a") as fh:
+            fh.write('{"rec": "accepted", "id": 5')  # second crash
+        again = SigningJournal(path, group=group)
+        assert again.torn_lines == 1
+        assert [r.request_id for r in again.pending()] == [50, 51]
+
+    def test_crash_before_the_newline_keeps_the_record(self, tmp_path, params_k4, group):
+        """A whole record whose newline never hit the disk still counts,
+        and the reopen terminates it so the next append is a new line."""
+        path = tmp_path / "j"
+        SigningJournal(path, group=group).record_accepted(
+            make_blocks_request(params_k4, request_id=54))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        reopened = SigningJournal(path, group=group)
+        assert reopened.torn_lines == 0
+        reopened.record_accepted(make_blocks_request(params_k4, request_id=55, tag=b"k"))
+        again = SigningJournal(path, group=group)
+        assert [r.request_id for r in again.pending()] == [54, 55]
+
+    def test_bad_byte_mid_file_raises_journal_error(self, tmp_path, params_k4, group):
+        path = tmp_path / "j"
+        journal = SigningJournal(path, group=group)
+        journal.record_accepted(make_blocks_request(params_k4, request_id=52))
+        original = path.read_bytes()
+        path.write_bytes(b'{"rec": "done", "id": 9\xff}\n' + original)
+        with pytest.raises(JournalError, match="line 1"):
+            SigningJournal(path, group=group)
+
+    def test_bad_byte_on_final_line_is_torn(self, tmp_path, params_k4, group):
+        path = tmp_path / "j"
+        journal = SigningJournal(path, group=group)
+        journal.record_accepted(make_blocks_request(params_k4, request_id=53))
+        with open(path, "ab") as fh:
+            fh.write(b'{"rec": "done", "id": 53\xfe')
+        reloaded = SigningJournal(path, group=group)
+        assert reloaded.torn_lines == 1
+        assert [r.request_id for r in reloaded.pending()] == [53]
+
     def test_unknown_record_kind_raises(self, tmp_path, group):
         path = tmp_path / "j"
         path.write_text(json.dumps({"rec": "mystery", "id": 1}) + "\n")

@@ -175,28 +175,6 @@ def _fleet_store(params, group):
     return attempt, nothing_stored
 
 
-def _resilient_store(params, group):
-    from repro.core.cloud import CloudServer
-    from repro.core.verifier import PublicVerifier
-    from repro.erasure import ResilientStore
-
-    rng = random.Random(9)
-    sem = SecurityMediator(group, rng=rng, require_membership=False)
-    cloud = CloudServer(params, rng=rng)
-    store = ResilientStore(params, DataOwner(params, sem.pk, rng=rng), sem, cloud,
-                           PublicVerifier(params, sem.pk, rng=rng), parity=2, rng=rng)
-    sem.fail_mode = "byzantine"
-
-    def attempt():
-        store.store(PAYLOAD, b"res")
-
-    def nothing_stored():
-        assert cloud.stored_files == 0
-        assert b"res" not in store._codes
-
-    return attempt, nothing_stored
-
-
 def _shared_file_append(params, group):
     from repro.core.shared_file import Contribution, SharedFileBuilder
 
@@ -238,7 +216,6 @@ CALLERS = {
     "DataOwner.sign_file": _sign_file,
     "DynamicStore.update": _dynamic_update,
     "FleetStore.store": _fleet_store,
-    "ResilientStore.store": _resilient_store,
     "SharedFileBuilder.append": _shared_file_append,
     "OwnerNode": _owner_node,
 }

@@ -94,6 +94,26 @@ class TestAudit:
         assert bad.server == "cloud-s3" and bad.slot == 3
         assert fleet.scoreboard.quarantined_names() == ["cloud-s3"]
 
+    def test_two_tampered_servers_are_both_named(self):
+        fleet = _fleet(files=2)
+        placement = fleet.placements.get(FILE + b"-1")
+        for name, slot in (("cloud-s0", 0), ("cloud-s2", 2)):
+            fleet.handles[name].server.tamper_block(placement.slice_id(slot), 0)
+        report = fleet.audit_round()
+        invalid = [(v.server, v.file_id) for v in report.verdicts if v.status == "invalid"]
+        assert invalid == [("cloud-s0", FILE + b"-1"), ("cloud-s2", FILE + b"-1")]
+        assert report.aggregate_ok is False
+        assert fleet.scoreboard.quarantined_names() == ["cloud-s0", "cloud-s2"]
+
+    def test_clean_round_is_one_folded_check(self):
+        from repro.core.accounting import CostTracker
+
+        fleet = _fleet(files=2)
+        with CostTracker(fleet.group) as tracker:
+            report = fleet.audit_round()
+        assert report.checks == 8 and report.passed
+        assert tracker.pairings == 2
+
 
 class TestRepair:
     def test_lost_server_rehomes_to_spare(self, tmp_path):

@@ -162,29 +162,6 @@ def _fleet():
     return _digest(signatures, counter, _seen(fleet.sem), [fleet._rng, fleet.owner._rng])
 
 
-def _resilient():
-    from repro.core.cloud import CloudServer
-    from repro.core.owner import DataOwner
-    from repro.core.sem import SecurityMediator
-    from repro.core.verifier import PublicVerifier
-    from repro.erasure import ResilientStore
-
-    group, params, counter = _fresh()
-    rng = random.Random(41)
-    sem = SecurityMediator(group, rng=rng, require_membership=False)
-    owner = DataOwner(params, sem.pk, rng=rng)
-    cloud = CloudServer(params, rng=rng)
-    store_rng = random.Random(42)
-    store = ResilientStore(params, owner, sem, cloud,
-                           PublicVerifier(params, sem.pk, rng=rng), parity=2,
-                           rng=store_rng)
-    signatures = []
-    for i in range(2):
-        store.store(_payload(b"r%d" % i, 5), b"res-%d" % i)
-        signatures.extend(cloud.retrieve(b"res-%d" % i).signatures)
-    return _digest(signatures, counter, _seen(sem), [rng, store_rng])
-
-
 def _shared_file():
     from repro.core.owner import DataOwner
     from repro.core.sem import SecurityMediator
@@ -226,7 +203,6 @@ CALLERS = {
     "service.pipeline": _pipeline,
     "dynamic.store": _dynamic,
     "erasure.fleet": _fleet,
-    "erasure.resilient": _resilient,
     "core.shared_file": _shared_file,
     "net.protocol_network": lambda: _protocol_network(None),
     "net.protocol_network.threshold2": lambda: _protocol_network(2),
