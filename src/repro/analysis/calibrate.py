@@ -77,13 +77,6 @@ class MsmCalibration:
     pippenger_s: tuple[float, ...]
     crossover: int
 
-    def as_rows(self) -> list[dict]:
-        return [
-            {"terms": n, "straus_s": s, "pippenger_s": p,
-             "winner": "pippenger" if p <= s else "straus"}
-            for n, s, p in zip(self.sizes, self.straus_s, self.pippenger_s)
-        ]
-
 
 def calibrate_msm_crossover(
     group: PairingGroup,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.blocks import Block, aggregate_block, encode_data
-from repro.core.challenge import Challenge, ProofResponse
+from repro.core.challenge import Challenge
 from repro.core.params import SystemParams
 from repro.mathkit.ntheory import inverse_mod
 from repro.pairing.interface import GroupElement, PairingGroup
@@ -161,8 +161,3 @@ class OrutaVerifier:
         lhs = group.pair(acc, group.g2())
         rhs = group.multi_pair(list(zip(response.phis, self.ring_pks)))
         return lhs == rhs
-
-
-def oruta_to_pdp_response(response: OrutaResponse) -> ProofResponse:
-    """Adapter used by size-accounting benchmarks (σ slot gets φ_1)."""
-    return ProofResponse(sigma=response.phis[0], alphas=response.alphas)

@@ -143,9 +143,7 @@ class PublicVerifier:
         everyone = range(len(audits))
         return not audits or self._fold(audits, self._weights(everyone, rng), everyone)
 
-    def failing(
-        self, audits: list[tuple[Challenge, ProofResponse]], rng=None
-    ) -> list[int]:
+    def failing(self, audits: list[tuple[Challenge, ProofResponse]]) -> list[int]:
         """Indices (ascending) of the audits whose proofs fail Eq. 6.
 
         Malformed responses are named by the screen, without a pairing.
@@ -156,11 +154,13 @@ class PublicVerifier:
         :meth:`verify`'s verdict, so an honest proof is never blamed.
 
         Cost: a clean batch is one fold (2 pairings); one bad proof among
-        L costs at most 2⌈log₂ L⌉ + 1 folds.  The weights are drawn once,
-        after every proof is in hand, so no prover can adapt to them; each
-        passing fold wrongly clears a bad proof with probability at most
-        1/(r − 1) (its Eq. 6 defect, raised to a uniform nonzero w_i, must
-        cancel the others' exactly).
+        L costs at most 2⌈log₂ L⌉ + 1 folds.  The folds of one call share
+        the raw hash points, so each challenged id is hashed once — twice
+        when a worker pool hashes the first fold.  The weights are drawn
+        once, after every proof is in hand, so no prover can adapt to
+        them; each passing fold wrongly clears a bad proof with
+        probability at most 1/(r − 1) (its Eq. 6 defect, raised to a
+        uniform nonzero w_i, must cancel the others' exactly).
         """
         malformed = [i for i, (_, response) in enumerate(audits)
                      if not self._well_formed(response)]
@@ -168,17 +168,21 @@ class PublicVerifier:
         rest = [i for i in range(len(audits)) if i not in screened]
         if not rest:
             return malformed
-        weights = self._weights(rest, rng)
-        return sorted(malformed + self._bisect(audits, weights, rest))
+        weights = self._weights(rest, None)
+        points = None if self.pool else {}
+        if self._fold(audits, weights, rest, points):
+            return malformed
+        return sorted(malformed + self._bisect(audits, weights, rest, points or {}))
 
-    def _bisect(self, audits, weights: dict[int, int], subset: list[int]) -> list[int]:
-        if self._fold(audits, weights, subset):
-            return []
+    def _bisect(self, audits, weights: dict[int, int], subset: list[int],
+                points: dict) -> list[int]:
+        """The bad proofs in ``subset``, whose fold has just failed."""
         if len(subset) == 1:
             return list(subset)
         mid = len(subset) // 2
-        return (self._bisect(audits, weights, subset[:mid])
-                + self._bisect(audits, weights, subset[mid:]))
+        return [i for half in (subset[:mid], subset[mid:])
+                if not self._fold(audits, weights, half, points)
+                for i in self._bisect(audits, weights, half, points)]
 
     def _well_formed(self, response: ProofResponse) -> bool:
         """k α's and σ ∈ G1 — the screen every response passes before any
@@ -197,7 +201,7 @@ class PublicVerifier:
             return {i: secrets.randbelow(order - 1) + 1 for i in indices}
         return {i: source.randrange(1, order) for i in indices}
 
-    def _fold(self, audits, weights: dict[int, int], subset) -> bool:
+    def _fold(self, audits, weights: dict[int, int], subset, points=None) -> bool:
         """Eq. 6 over the audits in ``subset``, folded with ``weights``:
 
             e(∏ σ_i^{w_i}, g)  ==  e(∏ H(id_ij)^{w_i·β_ij} · ∏ u_l^{Σ_i w_i·α_il}, pk).
@@ -208,7 +212,8 @@ class PublicVerifier:
         across workers when a :class:`~repro.core.parallel.WorkerPool` is
         attached; the u-part is one k-term MSM, σ one L-term MSM, and the
         two sides share one ``pairings_equal``.  A single audit folds at
-        weight 1, so its σ is used directly.
+        weight 1, so its σ is used directly.  Given a ``points`` memo
+        (:meth:`failing`), the ids hash in this process, not the pool.
         """
         order = self.params.order
         single = len(subset) == 1
@@ -224,7 +229,8 @@ class PublicVerifier:
             exponents.extend(w * beta % order for beta in challenge.betas)
             for l, alpha in enumerate(response.alphas):
                 alphas[l] += w * alpha
-        h_part = (self.pool or self.group).hash_msm(ids, exponents)
+        h_part = (self.group.hash_msm(ids, exponents, points) if points is not None
+                  else (self.pool or self.group).hash_msm(ids, exponents))
         u_part = self.group.multi_exp(list(self.params.u), alphas)
         # Raw, uncounted merge — multi_exp doesn't tally its internal
         # additions either.

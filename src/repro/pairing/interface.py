@@ -356,7 +356,8 @@ class PairingGroup:
             return self.hash_to_g1(data + b"\x00retry")
         return GroupElement(self, point, "g1")
 
-    def hash_msm(self, messages: list[bytes], exponents: list[int]) -> GroupElement:
+    def hash_msm(self, messages: list[bytes], exponents: list[int],
+                 points: dict | None = None) -> GroupElement:
         """``prod H(messages[i]) ** exponents[i]``  — Eq. 6's
         ``∏ H(id_i)^{β_i}`` — as  ``[h]·Σ (e_i mod r)·P_i``, clearing the
         cofactor once.
@@ -373,16 +374,22 @@ class PairingGroup:
         per message, one ``exp_g1_msm``/``exp_g1_skipped`` per term) plus a
         single ``cofactor_clear``.
 
+        ``points``, a memo of raw points by message, may be shared across
+        calls: a message already in it is neither hashed nor tallied again.
+
         Raises:
             ValueError: on empty input or length mismatch.
         """
         self._check_msm_shape(len(messages), len(exponents))
         reduced = [e % self.order for e in exponents]
+        known = {} if points is None else points
+        raw = [known[m] if m in known else self._hash_to_curve(m) for m in messages]
         if self.counter is not None:
-            self.counter.hash_to_g1 += len(messages)
+            self.counter.hash_to_g1 += sum(1 for m in messages if m not in known)
             self.counter.cofactor_clear += 1
             self._tally_g1_msm(reduced)
-        raw = [self._hash_to_curve(m) for m in messages]
+        if points is not None:
+            points.update(zip(messages, raw))
         return GroupElement(self, self._clear_cofactor(self._msm(raw, reduced)), "g1")
 
     @staticmethod

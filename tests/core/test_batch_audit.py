@@ -1,6 +1,7 @@
 """Tests for batch auditing multiple files (verify_batch), naming the
 failing proofs of a batch (failing), and the fixed-base owner path."""
 
+import math
 import random
 
 import pytest
@@ -138,7 +139,15 @@ class TestFailing:
             bad = _corrupt(audits, {position}, group)
             named, folds = _folds(group, lambda: verifier.failing(bad))
             assert named == [position]
-            assert folds <= 8  # 2⌈log₂ 8⌉ + 2
+            assert folds <= 2 * math.ceil(math.log2(8)) + 1
+
+    def test_bisection_hashes_each_id_once(self, eight_files, group):
+        verifier, audits = eight_files
+        ids = sum(len(ch.block_ids) for ch, _ in audits)
+        with CostTracker(group) as tracker:
+            assert verifier.failing(_corrupt(audits, {3}, group)) == [3]
+        assert tracker.counter.hash_to_g1 == ids
+        assert tracker.counter.cofactor_clear == tracker.pairings // 2
 
     def test_malformed_named_without_pairing(self, eight_files, group):
         verifier, audits = eight_files

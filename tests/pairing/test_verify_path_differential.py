@@ -231,6 +231,18 @@ class TestHashMsm:
         group = _GROUPS["toy-64"]
         assert group.hash_msm([b"a", b"b"], [0, 0]).is_identity()
 
+    def test_point_memo_hashes_each_message_once(self):
+        group = _GROUPS["toy-64"]
+        messages = [b"a", b"b", b"c"]
+        points = {}
+        first, first_ops = _tallied(group, lambda: group.hash_msm(messages, [2, 3, 5], points))
+        assert first == group.hash_msm(messages, [2, 3, 5])
+        assert first_ops["hash_to_g1"] == 3 and sorted(points) == messages
+        again, again_ops = _tallied(
+            group, lambda: group.hash_msm([b"c", b"d"], [5, 7], points))
+        assert again == group.hash_msm([b"c", b"d"], [5, 7])
+        assert again_ops["hash_to_g1"] == 1 and again_ops["cofactor_clear"] == 1
+
     def test_shape_errors(self):
         group = _GROUPS["toy-64"]
         with pytest.raises(ValueError, match="equal length"):
