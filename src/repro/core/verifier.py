@@ -5,8 +5,9 @@ Verification checks Eq. 6:
 
     e(σ, g)  ==  e( ∏_{i∈I} H(id_i)^{β_i} · ∏_{l=1}^{k} u_l^{α_l} ,  pk ).
 
-One body evaluates it (``PublicVerifier._fold``): many audits fold into a
-single random-weight check, one audit is the weight-1 case, and
+One body evaluates it (``PublicVerifier._parts`` and ``_holds``): many
+audits fold into a single random-weight check, one audit is the weight-1
+case, and
 ``PublicVerifier.failing`` bisects a failed fold to name the bad proofs
 (multi-prover auditing after Paterson–Stinson).
 
@@ -141,7 +142,9 @@ class PublicVerifier:
         if any(not self._well_formed(response) for _, response in audits):
             return False
         everyone = range(len(audits))
-        return not audits or self._fold(audits, self._weights(everyone, rng), everyone)
+        weights = self._weights(everyone, rng)
+        return not audits or self._holds(
+            audits, weights, everyone, self._parts(audits, weights, everyone))
 
     def failing(self, audits: list[tuple[Challenge, ProofResponse]]) -> list[int]:
         """Indices (ascending) of the audits whose proofs fail Eq. 6.
@@ -154,13 +157,16 @@ class PublicVerifier:
         :meth:`verify`'s verdict, so an honest proof is never blamed.
 
         Cost: a clean batch is one fold (2 pairings); one bad proof among
-        L costs at most 2⌈log₂ L⌉ + 1 folds.  The folds of one call share
-        the raw hash points, so each challenged id is hashed once — twice
-        when a worker pool hashes the first fold.  The weights are drawn
-        once, after every proof is in hand, so no prover can adapt to
-        them; each passing fold wrongly clears a bad proof with
-        probability at most 1/(r − 1) (its Eq. 6 defect, raised to a
-        uniform nonzero w_i, must cancel the others' exactly).
+        L costs at most 2⌈log₂ L⌉ + 1 folds.  Only a left half runs its
+        MSMs: a right half's weighted σ and χ are its parent's minus the
+        left half's, and a lone proof's χ at weight 1 is its weighted χ
+        raised to w⁻¹.  The folds of one call share the raw hash points,
+        so each challenged id is hashed once — twice when a worker pool
+        hashes the first fold.  The weights are drawn once, after every
+        proof is in hand, so no prover can adapt to them; each passing
+        fold wrongly clears a bad proof with probability at most
+        1/(r − 1) (its Eq. 6 defect, raised to a uniform nonzero w_i, must
+        cancel the others' exactly).
         """
         malformed = [i for i, (_, response) in enumerate(audits)
                      if not self._well_formed(response)]
@@ -170,19 +176,23 @@ class PublicVerifier:
             return malformed
         weights = self._weights(rest, None)
         points = None if self.pool else {}
-        if self._fold(audits, weights, rest, points):
+        parts = self._parts(audits, weights, rest, points)
+        if self._holds(audits, weights, rest, parts):
             return malformed
-        return sorted(malformed + self._bisect(audits, weights, rest, points or {}))
+        return sorted(malformed + self._bisect(audits, weights, rest, parts, points or {}))
 
     def _bisect(self, audits, weights: dict[int, int], subset: list[int],
-                points: dict) -> list[int]:
-        """The bad proofs in ``subset``, whose fold has just failed."""
+                parts: tuple[GroupElement, GroupElement], points: dict) -> list[int]:
+        """The bad proofs in ``subset``, whose fold — weighted σ and χ
+        ``parts`` — has just failed."""
         if len(subset) == 1:
             return list(subset)
         mid = len(subset) // 2
-        return [i for half in (subset[:mid], subset[mid:])
-                if not self._fold(audits, weights, half, points)
-                for i in self._bisect(audits, weights, half, points)]
+        left = self._parts(audits, weights, subset[:mid], points)
+        right = tuple(self._minus(whole, part) for whole, part in zip(parts, left))
+        return [i for half, half_parts in ((subset[:mid], left), (subset[mid:], right))
+                if not self._holds(audits, weights, half, half_parts)
+                for i in self._bisect(audits, weights, half, half_parts, points)]
 
     def _well_formed(self, response: ProofResponse) -> bool:
         """k α's and σ ∈ G1 — the screen every response passes before any
@@ -201,22 +211,22 @@ class PublicVerifier:
             return {i: secrets.randbelow(order - 1) + 1 for i in indices}
         return {i: source.randrange(1, order) for i in indices}
 
-    def _fold(self, audits, weights: dict[int, int], subset, points=None) -> bool:
-        """Eq. 6 over the audits in ``subset``, folded with ``weights``:
+    def _parts(self, audits, weights: dict[int, int], subset,
+               points=None) -> tuple[GroupElement, GroupElement]:
+        """The two sides of Eq. 6 over the audits in ``subset``, folded
+        with ``weights``:  σ = ∏ σ_i^{w_i}  and
 
-            e(∏ σ_i^{w_i}, g)  ==  e(∏ H(id_ij)^{w_i·β_ij} · ∏ u_l^{Σ_i w_i·α_il}, pk).
+            χ = ∏ H(id_ij)^{w_i·β_ij} · ∏ u_l^{Σ_i w_i·α_il}.
 
         The hash part is one :meth:`~repro.pairing.interface.PairingGroup.hash_msm`
         over every challenged id — on type A a single MSM over the raw
         try-and-increment points and one cofactor clearing — fanned out
         across workers when a :class:`~repro.core.parallel.WorkerPool` is
-        attached; the u-part is one k-term MSM, σ one L-term MSM, and the
-        two sides share one ``pairings_equal``.  A single audit folds at
-        weight 1, so its σ is used directly.  Given a ``points`` memo
+        attached; the u-part is one k-term MSM, σ one L-term MSM.  A lone
+        audit at weight 1 uses its σ as is.  Given a ``points`` memo
         (:meth:`failing`), the ids hash in this process, not the pool.
         """
         order = self.params.order
-        single = len(subset) == 1
         ids: list[bytes] = []
         exponents: list[int] = []
         alphas = [0] * self.params.k
@@ -224,7 +234,7 @@ class PublicVerifier:
             challenge, response = audits[i]
             if not challenge.block_ids:
                 raise ValueError("empty challenge")
-            w = 1 if single else weights[i]
+            w = weights[i]
             ids.extend(challenge.block_ids)
             exponents.extend(w * beta % order for beta in challenge.betas)
             for l, alpha in enumerate(response.alphas):
@@ -232,13 +242,26 @@ class PublicVerifier:
         h_part = (self.group.hash_msm(ids, exponents, points) if points is not None
                   else (self.pool or self.group).hash_msm(ids, exponents))
         u_part = self.group.multi_exp(list(self.params.u), alphas)
-        # Raw, uncounted merge — multi_exp doesn't tally its internal
-        # additions either.
         chi = GroupElement(self.group, self.group._add(h_part.point, u_part.point), "g1")
-        if single:
+        sigmas = [audits[i][1].sigma for i in subset]
+        sigma_weights = [weights[i] for i in subset]
+        if sigma_weights == [1]:
+            return sigmas[0], chi
+        return self.group.multi_exp(sigmas, sigma_weights), chi
+
+    def _holds(self, audits, weights: dict[int, int], subset,
+               parts: tuple[GroupElement, GroupElement]) -> bool:
+        """Eq. 6 on a fold's ``parts``, one ``pairings_equal``.  A lone
+        proof is checked at weight 1 — its own σ against its weighted χ
+        raised to w⁻¹, one Exp — so the verdict is exactly :meth:`verify`'s."""
+        sigma, chi = parts
+        if len(subset) == 1 and weights[subset[0]] != 1:
+            w = weights[subset[0]]
             sigma = audits[subset[0]][1].sigma
-        else:
-            sigma = self.group.multi_exp(
-                [audits[i][1].sigma for i in subset], [weights[i] for i in subset]
-            )
+            chi = chi ** pow(w, -1, self.params.order)
         return self.group.pairings_equal(sigma, chi, self.org_pk)
+
+    def _minus(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """a / b.  This and χ's merge are raw, uncounted additions —
+        ``multi_exp`` doesn't tally its internal additions either."""
+        return GroupElement(self.group, self.group._add(a.point, self.group._neg(b.point)), "g1")

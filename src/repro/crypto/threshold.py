@@ -80,8 +80,8 @@ def verify_share(
     signature_share: GroupElement,
     share_pk: GroupElement,
 ) -> bool:
-    """Eq. 10: e(σ̃_{i,j}, g2) == e(m̃_i, pk_j)."""
-    return group.pair(signature_share, group.g2()) == group.pair(blinded, share_pk)
+    """Eq. 10: e(σ̃_{i,j}, g2) == e(m̃_i, pk_j).  Op-count cost: 2 Pair."""
+    return group.pairings_equal(signature_share, blinded, share_pk)
 
 
 def combine_shares(
@@ -123,7 +123,8 @@ def batch_verify_shares(
     the standard small-exponent randomization per message so that errors in
     distinct shares cannot cancel (same soundness rationale as Eq. 7 — the
     unweighted variant accepts e.g. two shares swapped between messages).
-    Pairing count is unchanged: one per SEM plus one on the left.
+    Pairing count is unchanged: one per SEM plus one on the left, all in one
+    ``multi_pair`` with a single final exponentiation.
 
     Args:
         blinded_messages: m̃_1..m̃_n.
@@ -147,7 +148,5 @@ def batch_verify_shares(
         for share, gamma in zip(sem_shares[1:], gammas[1:]):
             sem_acc = sem_acc * share**gamma
         lhs_acc = sem_acc if lhs_acc is None else lhs_acc * sem_acc
-        pairs.append((msg_acc, share_pks[sem_index]))
-    lhs = group.pair(lhs_acc, group.g2())
-    rhs = group.multi_pair(pairs)
-    return lhs == rhs
+        pairs.append((msg_acc.inverse(), share_pks[sem_index]))
+    return group.multi_pair([(lhs_acc, group.g2())] + pairs).is_identity()

@@ -117,11 +117,3 @@ class ReedSolomonCode:
                 )
             )
         return originals
-
-    def parity_word(self, extra_index: int, words: list[tuple[int, ...]]) -> tuple[int, ...]:
-        """Recompute one parity word (used by repair)."""
-        row = self._parity_rows[extra_index]
-        width = len(words[0])
-        return tuple(
-            sum(c * word[e] for c, word in zip(row, words)) % self.p for e in range(width)
-        )

@@ -58,6 +58,14 @@ def entry_hash(entry: dict) -> str:
     return hashlib.sha256(_canonical(unsealed)).hexdigest()
 
 
+def _well_shaped(entry) -> bool:
+    """An entry with the fields :meth:`Ledger.append` seals, of their types."""
+    return (isinstance(entry, dict)
+            and isinstance(entry.get("seq"), int)
+            and all(isinstance(entry.get(key), str) for key in ("kind", "prev", "hash"))
+            and isinstance(entry.get("body"), dict))
+
+
 class Ledger:
     """Append-only hash-chained event log (file-backed or in-memory).
 
@@ -93,21 +101,26 @@ class Ledger:
     def _resume(self) -> None:
         entries, torn = recover_jsonl(self.path, LedgerError, "ledger")
         self.torn_tail = torn
-        for entry in entries:
+        for position, entry in enumerate(entries):
+            if not _well_shaped(entry):
+                raise LedgerError(f"malformed ledger entry {position}")
             if entry_hash(entry) != entry["hash"]:
                 raise LedgerError(
-                    f"corrupt ledger entry at seq {entry.get('seq')}: hash mismatch"
+                    f"corrupt ledger entry at seq {entry['seq']}: hash mismatch"
                 )
             if entry["prev"] != self._prev:
                 raise LedgerError(
-                    f"broken hash chain at seq {entry.get('seq')}"
+                    f"broken hash chain at seq {entry['seq']}"
                 )
             self._prev = entry["hash"]
             self._seq = entry["seq"] + 1
             self.counts[entry["kind"]] = self.counts.get(entry["kind"], 0) + 1
             if entry["kind"] == "genesis" and "epoch_len" in entry["body"]:
                 # Resume with the chain's own epoch cadence, not ours.
-                self.epoch_len = int(entry["body"]["epoch_len"])
+                epoch_len = entry["body"]["epoch_len"]
+                if not isinstance(epoch_len, int) or epoch_len < 2:
+                    raise LedgerError(f"bad genesis epoch_len {epoch_len!r}")
+                self.epoch_len = epoch_len
 
     # -- appending -----------------------------------------------------------
     def append(self, kind: str, body: dict) -> dict:
@@ -610,11 +623,10 @@ def verify_ledger(path, expect_head: str | None = None,
     prev = GENESIS_PREV
     for position, entry in enumerate(entries):
         label = f"entry {position}"
-        try:
-            seq, kind = entry["seq"], entry["kind"]
-        except (TypeError, KeyError):
-            report.errors.append(f"{label}: missing seq/kind fields")
+        if not _well_shaped(entry):
+            report.errors.append(f"{label}: malformed entry (seq/kind/body/prev/hash)")
             return report
+        seq, kind = entry["seq"], entry["kind"]
         if seq != position:
             report.errors.append(
                 f"{label}: seq {seq} out of order (expected {position}) — "

@@ -18,6 +18,10 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass, field
 
+#: Keys (g and public keys) whose Miller lines a group keeps; a
+#: paper-160 walk holds about 60 kB.
+LINE_CACHE_KEYS = 8
+
 
 @dataclass
 class OperationCounter:
@@ -229,8 +233,9 @@ class PairingGroup:
     Every method here counts what it does into the attached counter and
     delegates the arithmetic to the backend's raw hooks (``_add``,
     ``_neg``, ``_scalar_mul``, ``_msm``, ``_hash_to_curve``,
-    ``_clear_cofactor``, ``_miller_loop``, ``_final_exponentiation``,
-    ``_serialize`` and the ``_gt_*`` operations), which
+    ``_clear_cofactor``, ``_g1_lines``, ``_multi_miller``,
+    ``_final_exponentiation``, ``_serialize`` and the ``_gt_*``
+    operations), which
     :class:`~repro.pairing.type_a.TypeAPairingGroup` defines.  The hooks
     never touch the counter.
     """
@@ -239,6 +244,7 @@ class PairingGroup:
 
     def __init__(self):
         self.counter: OperationCounter | None = None
+        self._line_cache: dict = {}  # walked point -> its Miller lines
 
     def attach_counter(self, counter: OperationCounter) -> None:
         """Start tallying Exp/Pair operations into ``counter``."""
@@ -259,29 +265,52 @@ class PairingGroup:
                 return s
 
     def pair(self, p: GroupElement, q: GroupElement) -> GTElement:
-        """The bilinear map e(p, q) with p in G1 and q in G2."""
-        if p.which != "g1" or q.which != "g2":
-            raise ValueError("pair() expects (G1, G2) arguments")
-        if self.counter is not None:
-            self.counter.pairings += 1
-        return GTElement(self, self._pair(p.point, q.point))
+        """The bilinear map e(p, q) with p in G1 and q in G2.
+
+        Op-count cost: 1 Pair.
+        """
+        return GTElement(self, self._pairing_product([(p, q)]))
 
     def multi_pair(self, pairs: list[tuple[GroupElement, GroupElement]]) -> GTElement:
-        """Product of pairings  ``prod e(p_i, q_i)``  with one shared final
-        exponentiation.
+        """Product of pairings  ``prod e(p_i, q_i)``  with one shared Miller
+        loop and one final exponentiation.
 
         Op-count cost: one Pair per pair.
         """
-        acc = self._gt_one()
+        return GTElement(self, self._pairing_product(pairs))
+
+    def _pairing_product(self, pairs) -> tuple:
+        """Raw ``prod e(p_i, q_i)``, each pairing driven by its G2 argument.
+
+        On type A the pairing is symmetric, e(p, q) = e(q, p), so the Miller
+        loop may walk either point.  It walks q — the generator or a public
+        key at every call site — and evaluates at p, the value that arrives
+        from outside.  Each q's walk (``_g1_lines``) is looked up in a
+        small dict on the group, bounded by :data:`LINE_CACHE_KEYS` and
+        evicting the least recently used, so g and each key are walked
+        once; all pairs then share one ``_multi_miller`` pass and one final
+        exponentiation.  A p outside G1 pairs as its G1 component (the
+        reduced Tate pairing erases the rest); O contributes 1.
+        """
+        walked = []
         for p, q in pairs:
             if p.which != "g1" or q.which != "g2":
-                raise ValueError("multi_pair expects (G1, G2) pairs")
+                raise ValueError("pairings take (G1, G2) arguments")
             if self.counter is not None:
                 self.counter.pairings += 1
             if p.point is None or q.point is None:
                 continue
-            acc = self._gt_mul(acc, self._miller_loop(p.point, q.point))
-        return GTElement(self, self._final_exponentiation(acc))
+            cache = self._line_cache
+            if q.point in cache:
+                lines = cache.pop(q.point)  # re-inserted last: recently used
+            else:
+                lines = self._g1_lines(q.point)
+                if len(cache) >= LINE_CACHE_KEYS:
+                    del cache[next(iter(cache))]  # the least recently used
+            cache[q.point] = lines
+            if lines is not None:
+                walked.append((lines, p.point))
+        return self._final_exponentiation(self._multi_miller(walked))
 
     def pairings_equal(
         self, a: GroupElement, b: GroupElement, q: GroupElement

@@ -16,6 +16,15 @@ contributions lie in F_q, which the final exponentiation kills since
 (q² − 1)/r = (q − 1)·h is a multiple of q − 1.  This denominator
 elimination is what makes embedding-degree-2 pairings fast.
 
+On G1 the pairing is symmetric, e(P, Q) = e(Q, P), so the loop may walk
+either point.  The walk of T through the multiples of one point (the
+Jacobian point arithmetic) does not depend on the evaluation point, so it
+is split off: :meth:`TypeAPairingGroup._lines` walks a point once and
+keeps each line as two F_q coefficients, and
+:meth:`TypeAPairingGroup._multi_miller` evaluates any number of walks at
+their points with one shared squaring per step.  The tallying API drives
+every pairing by its G2 argument — g or a public key — and caches the walks.
+
 Internally points are raw ``(x, y)`` integer tuples (``None`` = infinity)
 and GT values are raw ``(a, b)`` integer pairs representing a + b·i; the
 object-level API is provided by :class:`repro.pairing.interface`.
@@ -23,9 +32,11 @@ object-level API is provided by :class:`repro.pairing.interface`.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.ec.hash_to_curve import hash_to_curve_try_increment
 from repro.ec.jacobian import jac_double as _jac_double
-from repro.ec.jacobian import jac_msm, jac_scalar_mul
+from repro.ec.jacobian import batch_inverse, jac_msm, jac_scalar_mul
 from repro.mathkit.ntheory import sqrt_mod
 from repro.pairing.interface import GroupElement, PairingGroup
 from repro.pairing.params import TypeAParams
@@ -44,6 +55,7 @@ class TypeAPairingGroup(PairingGroup):
         self._generator = (params.gx, params.gy)
         # Final exponentiation: (q² − 1)/r = (q − 1) · h.
         self._final_exp_h = params.h
+        self._g1_projector = params.h * pow(params.h, -1, params.r)
 
     @classmethod
     def from_params(cls, params: TypeAParams) -> "TypeAPairingGroup":
@@ -157,40 +169,46 @@ class TypeAPairingGroup(PairingGroup):
         return GroupElement(self, (x, y), "g1")
 
     # ------------------------------------------------------------------
-    # Pairing
+    # Pairing: a line walk per fixed point, one evaluation for many pairs
     # ------------------------------------------------------------------
-    def _pair(self, p, q_point):
-        if p is None or q_point is None:
-            return (1, 0)
-        f = self._miller_loop(p, q_point)
-        return self._final_exponentiation(f)
+    def _lines(self, k):
+        """The Miller lines of the walk T = K, 2K, …, [r]K.
 
-    def _miller_loop(self, p, q_point):
-        """f_{r,P}(φ(Q)) up to an F_q factor, with denominator elimination.
+        One step per bit of r below the top: a tuple holding the doubling
+        line, then the addition line when the bit is set.  The line through
+        T with slope λ, evaluated at φ(P) = (−xP, i·yP), is
 
-        The line through T with slope λ, evaluated at φ(Q) = (−xQ, i·yQ), is
-            i·yQ − yT − λ·(−xQ − xT)  =  (λ·(xQ + xT) − yT)  +  i·yQ.
-        T stays in Jacobian coordinates (X, Y, Z), so λ is a fraction; each
-        line is multiplied by its denominator, an F_q factor that the final
-        exponentiation kills — no field inversion anywhere in the loop:
+            i·yP − yT − λ·(−xP − xT)  =  (A·xP + B) + i·yP,
+            A = λ,  B = λ·xT − yT,
 
-        * doubling, λ = (3X² + Z⁴)/(2YZ), scaled by 2YZ·Z²:
-          (3X² + Z⁴)·(xQ·Z² + X) − 2Y²  +  i·yQ·2YZ·Z²;
-        * adding P, λ = (yP·Z³ − Y)/((xP·Z² − X)·Z), scaled by that
-          denominator D:  (yP·Z³ − Y)·(xQ + xP) − yP·D  +  i·yQ·D.
+        so each line is stored as its two F_q coefficients (A, B) and is
+        evaluated at any P by one multiplication (:meth:`_multi_miller`).
+        T stays in Jacobian coordinates (X, Y, Z): a line comes out as
+        numerators over an F_q denominator c, and one batch inversion of
+        all the c's normalizes the walk:
+
+        * doubling, λ = (3X² + Z⁴)/(2YZ), c = 2YZ·Z²:
+          A = (3X² + Z⁴)·Z²/c,  B = ((3X² + Z⁴)·X − 2Y²)/c;
+        * adding K, λ = (yK·Z³ − Y)/((xK·Z² − X)·Z), c the denominator:
+          A = (yK·Z³ − Y)/c,  B = ((yK·Z³ − Y)·xK − yK·c)/c.
+
+        Returns:
+            ``(steps, closed)``: ``closed`` is true iff [r]K = O, i.e. the
+            last addition met T = −K.  That vertical line lies in F_q, which
+            the final exponentiation kills, so it is left out.
 
         Raises:
             ValueError: where the affine loop meets a non-invertible
                 denominator — T of order 2 at a doubling, or T = O before
-                the last step.  Both need P outside the order-r subgroup.
+                the last step.  Both need K outside the order-r subgroup.
         """
         q = self.q
-        xp, yp = p
-        xq, yq = q_point
-        xqp = (xq + xp) % q
-        fa, fb = 1, 0  # f = fa + fb·i
-        tx, ty, tz = xp, yp, 1
+        xk, yk = k
+        tx, ty, tz = xk, yk, 1
         r = self.order
+        numerators = []  # (A·c, B·c) per line
+        denominators = []
+        sizes = []  # lines per step
         for bit_index in range(r.bit_length() - 2, -1, -1):
             if ty == 0 or tz == 0:
                 raise ValueError("Miller loop reached a point of small order")
@@ -201,51 +219,108 @@ class TypeAPairingGroup(PairingGroup):
             m = (3 * xx + zz * zz) % q
             s = 4 * tx * yy % q
             nz = 2 * ty * tz % q
-            la = (m * (xq * zz + tx) - 2 * yy) % q
-            lb = yq * nz % q * zz % q
+            numerators.append((m * zz, m * tx - 2 * yy))
+            denominators.append(nz * zz % q)
             tx = (m * m - 2 * s) % q
             ty = (m * (s - tx) - 8 * yy * yy) % q
             tz = nz
-            # f = f² · (la + lb·i)  (Karatsuba: three products)
-            sa = (fa + fb) * (fa - fb) % q
-            sb = 2 * fa * fb % q
-            t0 = sa * la
-            t1 = sb * lb
-            fa = (t0 - t1) % q
-            fb = ((sa + sb) * (la + lb) - t0 - t1) % q
+            sizes.append(1)
             if (r >> bit_index) & 1:
-                # --- addition step: T + P ---
+                # --- addition step: T + K ---
                 zz = tz * tz % q
                 zzz = zz * tz % q
-                h = (xp * zz - tx) % q
-                rr = (yp * zzz - ty) % q
+                h = (xk * zz - tx) % q
+                rr = (yk * zzz - ty) % q
                 if h == 0:
-                    if (ty + yp * zzz) % q == 0:
-                        # T = −P: a vertical line, an F_q factor the final
-                        # exponentiation kills; T becomes O.  For P in the
-                        # subgroup this happens only at the last step.
+                    if (ty + yk * zzz) % q == 0:
+                        # T = −K: the vertical line; T becomes O.  For K in
+                        # the subgroup this happens only at the last step.
                         tz = 0
                         continue
-                    # T = P (only off the subgroup): the tangent at P,
-                    # scaled by 2·yP.
-                    la = ((3 * xp * xp + 1) * xqp - 2 * yp * yp) % q
-                    lb = 2 * yp * yq % q
+                    # T = K (only off the subgroup): the tangent at K.
+                    m = 3 * xk * xk + 1
+                    numerators.append((m, m * xk - 2 * yk * yk))
+                    denominators.append(2 * yk % q)
                     tx, ty, tz = _jac_double(tx, ty, tz, q)
                 else:
                     d = h * tz % q
-                    la = (rr * xqp - yp * d) % q
-                    lb = yq * d % q
+                    numerators.append((rr, rr * xk - yk * d))
+                    denominators.append(d)
                     hh = h * h % q
                     hhh = hh * h % q
                     v = tx * hh % q
                     tx = (rr * rr - hhh - 2 * v) % q
                     ty = (rr * (v - tx) - ty * hhh) % q
                     tz = d
-                t0 = fa * la
-                t1 = fb * lb
-                fb = ((fa + fb) * (la + lb) - t0 - t1) % q
-                fa = (t0 - t1) % q
+                sizes[-1] = 2
+        lines = iter([
+            (a * inv % q, b * inv % q)
+            for (a, b), inv in zip(numerators, batch_inverse(denominators, q))
+        ])
+        return [tuple(islice(lines, size)) for size in sizes], tz == 0
+
+    def _multi_miller(self, pairs):
+        """∏_j f_{r,K_j}(φ(P_j)) up to an F_q factor, from each K_j's
+        :meth:`_lines` steps, with one squaring of f per step shared by
+        every pair.
+
+        Each line costs one multiplication to evaluate, (A·xP + B) + i·yP,
+        and a three-product (Karatsuba) multiplication into f.  A P with
+        yP = 0 — the 2-torsion point (0, 0) — would make every line value
+        an F_q element, so it contributes 1 and is skipped; for every other
+        P no line value is zero, f is a unit, and the final exponentiation
+        never fails.
+
+        Args:
+            pairs: ``(steps, P)`` with ``steps`` from :meth:`_lines` and P
+                an affine point.
+        """
+        q = self.q
+        fa, fb = 1, 0  # f = fa + fb·i
+        pairs = [(steps, p) for steps, p in pairs if p[1]]
+        points = [p for _, p in pairs]
+        for step in zip(*(steps for steps, _ in pairs)):
+            sa = (fa + fb) * (fa - fb) % q
+            fb = 2 * fa * fb % q
+            fa = sa
+            for lines, (xp, yp) in zip(step, points):
+                for a, b in lines:
+                    la = (a * xp + b) % q
+                    t0 = fa * la
+                    t1 = fb * yp
+                    fb = ((fa + fb) * (la + yp) - t0 - t1) % q
+                    fa = (t0 - t1) % q
         return (fa, fb)
+
+    def _miller_loop(self, p, q_point):
+        """f_{r,P}(φ(Q)) for one pair, walking P afresh: the uncached case
+        of :meth:`_lines` and :meth:`_multi_miller`.
+
+        Raises:
+            ValueError: as :meth:`_lines`, for P outside the subgroup.
+        """
+        steps, _ = self._lines(p)
+        return self._multi_miller([(steps, q_point)])
+
+    def _g1_lines(self, k):
+        """The lines of K's G1 component, or None when that component is O.
+
+        A K in G1 is walked as it is; the walk itself tells ([r]K = O).
+        Otherwise K is first multiplied by m = h·(h⁻¹ mod r) — m ≡ 1 mod r
+        and m ≡ 0 mod h — which keeps its order-r part and erases the rest,
+        as the reduced Tate pairing does to its other argument.  So the
+        pairing of a point outside G1 is that of its G1 component in
+        either slot, and nothing raises.  Keys can arrive from outside: a
+        ledger's ``verifier_key`` entry is decoded only onto the curve.
+        """
+        try:
+            steps, closed = self._lines(k)
+        except ValueError:
+            closed = False
+        if closed:
+            return steps
+        component = self._scalar_mul(k, self._g1_projector)
+        return None if component is None else self._lines(component)[0]
 
     def _final_exponentiation(self, f):
         """f ^ ((q²−1)/r)  =  (f^(q−1)) ^ h,  with f^q = conj(f)."""

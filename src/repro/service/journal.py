@@ -142,18 +142,21 @@ class SigningJournal:
         for record in records:
             self._apply(record)
 
-    def _apply(self, record: dict) -> None:
-        kind = record.get("rec")
-        if kind == "accepted":
+    def _apply(self, record) -> None:
+        kind = record.get("rec") if isinstance(record, dict) else None
+        if kind not in ("accepted", "done"):
+            raise JournalError(f"unknown journal record kind {kind!r}")
+        try:
+            if kind == "done":
+                response = _decode_response(record, self.group)
+                self._completed[response.request_id] = response
+                return
             request = _decode_request(record, self.group)
             if request.request_id not in self._accepted:
                 self._accepted[request.request_id] = request
                 self._order.append(request.request_id)
-        elif kind == "done":
-            response = _decode_response(record, self.group)
-            self._completed[response.request_id] = response
-        else:
-            raise JournalError(f"unknown journal record kind {kind!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise JournalError(f"malformed {kind!r} journal record: {exc!r}") from None
 
     # -- writes --------------------------------------------------------------
     def record_accepted(self, request: SignRequest) -> None:

@@ -158,6 +158,24 @@ class TestJournalUnit:
         with pytest.raises(JournalError, match="mystery"):
             SigningJournal(path, group=group)
 
+    @pytest.mark.parametrize("line", [
+        '{"rec": "done"}',
+        '[1]',
+        'null',
+        '"accepted"',
+        '{"rec": "accepted", "id": [1], "owner": "o"}',
+        '{"rec": "accepted", "id": 1, "owner": "o", "blocks": [{"bid": "zz"}]}',
+        '{"rec": "done", "id": 1, "status": "no-such-status"}',
+        '{"rec": "done", "id": 1, "status": "ok", "sigs": ["00"]}',
+    ])
+    def test_wrong_shape_record_raises_journal_error(self, tmp_path, group, line):
+        """Valid JSON that is not a journal record fails the reopen with a
+        JournalError, never a KeyError or AttributeError."""
+        path = tmp_path / "j"
+        path.write_text(line + "\n")
+        with pytest.raises(JournalError):
+            SigningJournal(path, group=group)
+
 
 def build_network(params, journal, seed=51):
     return build_service_network(

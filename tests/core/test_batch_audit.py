@@ -142,12 +142,16 @@ class TestFailing:
             assert folds <= 2 * math.ceil(math.log2(8)) + 1
 
     def test_bisection_hashes_each_id_once(self, eight_files, group):
+        """Each id is hashed once, and only the first fold and the left
+        halves run a hash MSM (one cofactor clearing each): a right half
+        is its parent minus its sibling."""
         verifier, audits = eight_files
         ids = sum(len(ch.block_ids) for ch, _ in audits)
         with CostTracker(group) as tracker:
             assert verifier.failing(_corrupt(audits, {3}, group)) == [3]
+        folds = tracker.pairings // 2
         assert tracker.counter.hash_to_g1 == ids
-        assert tracker.counter.cofactor_clear == tracker.pairings // 2
+        assert tracker.counter.cofactor_clear == (folds + 1) // 2
 
     def test_malformed_named_without_pairing(self, eight_files, group):
         verifier, audits = eight_files

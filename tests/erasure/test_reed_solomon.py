@@ -82,14 +82,6 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             ReedSolomonCode(5, 5, 7)  # field too small
 
-    def test_parity_word_recompute(self):
-        rng = random.Random(5)
-        words = _random_words(rng, 3)
-        code = ReedSolomonCode(3, 2, P)
-        coded = code.encode(words)
-        assert code.parity_word(0, words) == coded[3]
-        assert code.parity_word(1, words) == coded[4]
-
     @settings(max_examples=25)
     @given(st.data())
     def test_property_mds(self, data):

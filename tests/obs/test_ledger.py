@@ -199,6 +199,38 @@ class TestCrashSemantics:
             Ledger(path)
 
 
+    @pytest.mark.parametrize("line", ['{"rec": "done"}', '[1]', 'null', '{"seq": 0}'])
+    def test_resume_rejects_a_wrong_shape_line(self, tmp_path, line):
+        """Valid JSON that is not a ledger entry fails the reopen with a
+        LedgerError, never a KeyError or AttributeError."""
+        path = tmp_path / "shape.jsonl"
+        Ledger(path).ensure_genesis({"run": 1})
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(LedgerError, match="malformed"):
+            Ledger(path)
+
+    @pytest.mark.parametrize("body", [[1], {"epoch_len": 0}, {"epoch_len": "4"}])
+    def test_resume_rejects_sealed_entries_of_the_wrong_types(self, tmp_path, body):
+        """Anyone can seal an entry (the hash is unkeyed), so a resealed
+        body of the wrong type is refused too, not crashed on."""
+        path = tmp_path / "typed.jsonl"
+        entry = {"seq": 0, "t": 0.0, "kind": "genesis", "body": body, "prev": GENESIS_PREV}
+        entry["hash"] = entry_hash(entry)
+        path.write_text(json.dumps(entry) + "\n")
+        with pytest.raises(LedgerError):
+            Ledger(path)
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "audit"])
+    def test_verify_reports_a_resealed_body_of_the_wrong_type(self, tmp_path, kind):
+        path = tmp_path / "typed.jsonl"
+        entry = {"seq": 0, "t": 0.0, "kind": kind, "body": [1], "prev": GENESIS_PREV}
+        entry["hash"] = entry_hash(entry)
+        path.write_text(json.dumps(entry) + "\n")
+        report = verify_ledger(path)
+        assert not report.ok and "malformed" in report.errors[0]
+
+
 class TestChainMechanics:
     def test_checkpoints_land_on_epoch_boundaries(self, tmp_path):
         ledger = Ledger(epoch_len=4)

@@ -1,11 +1,16 @@
 """Differential tests for the type-A verify path.
 
-Two rewrites must be invisible to every caller:
+Three rewrites must be invisible to every caller:
 
 * the inversion-free (Jacobian) Miller loop — after the final
   exponentiation it must agree with the affine reference loop kept below,
   on subgroup pairs, and on off-subgroup and small-order points it must
   raise ``ValueError`` exactly where the reference fails;
+* the key-driven pairings — ``pair`` and ``multi_pair`` walk each G2
+  argument's Miller lines once (cached on the group) and evaluate them at
+  the G1 argument; for subgroup inputs they must give the reference loop's
+  reduced values and the same tallies, a point outside G1 must pair as its
+  G1 component, and (0, 0) must contribute 1;
 * the fused ``hash_msm`` — one MSM over the raw try-and-increment points
   and a single cofactor clearing must give the same point, and the same
   tallies apart from ``cofactor_clear``, as hashing every message and
@@ -18,10 +23,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.accounting import CostTracker
 from repro.core.parallel import WorkerPool
 from repro.core.params import setup
+from repro.crypto.threshold import (
+    batch_verify_shares,
+    distribute_key,
+    sign_share,
+    verify_share,
+)
 from repro.pairing import TYPE_A_PARAM_SETS, TypeAPairingGroup
-from repro.pairing.interface import OperationCounter
+from repro.pairing.interface import LINE_CACHE_KEYS, GroupElement, OperationCounter
 
 _SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -175,6 +187,172 @@ class TestMillerLoopDifferential:
         p = paper_group._scalar_mul(raw, paper_group.order * paper_group.params.h // 103)
         assert p is not None and paper_group._scalar_mul(p, 103) is None
         assert assert_loops_agree(paper_group, p, paper_group.g2().point)
+
+
+def _reference_pair(group, p, q_point):
+    """e(p, q) from the affine reference loop, driven by p."""
+    return group._final_exponentiation(reference_miller_loop(group, p, q_point))
+
+
+def _g1_component(group, point):
+    """The order-r part of a curve point: [h·(h⁻¹ mod r)]·P."""
+    h, r = group.params.h, group.order
+    return group._scalar_mul(point, h * pow(h, -1, r))
+
+
+def _g1(group, point):
+    return GroupElement(group, point, "g1")
+
+
+def _g2(group, point):
+    return GroupElement(group, point, "g2")
+
+
+_KEY_SCALARS = st.sampled_from([1, 2, 3, 5, 7, 11])  # few keys, so walks are reused
+
+
+class TestKeyedPairing:
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    @_SETTINGS
+    @given(terms=st.lists(st.tuples(st.integers(min_value=1), _KEY_SCALARS),
+                          min_size=1, max_size=4))
+    def test_pair_and_multi_pair_match_reference(self, name, terms):
+        group = _GROUPS[name]
+        pairs = [(group.g1() ** a, group.g2() ** b) for a, b in terms]
+        expected = group._gt_one()
+        for p, q in pairs:
+            reduced = (group._gt_one() if p.is_identity()
+                       else _reference_pair(group, p.point, q.point))
+            assert group.pair(p, q).value == reduced
+            expected = group._gt_mul(expected, reduced)
+        assert group.multi_pair(pairs).value == expected
+
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    @_SETTINGS
+    @given(a=st.integers(min_value=1), b=st.integers(min_value=1))
+    def test_symmetric(self, name, a, b):
+        group = _GROUPS[name]
+        p, q = (group.g1() ** a).point, (group.g1() ** b).point
+        assert group.pair(_g1(group, p), _g2(group, q)) == group.pair(_g1(group, q), _g2(group, p))
+
+    @pytest.mark.parametrize("name", sorted(_GROUPS))
+    @_SETTINGS
+    @given(seed=st.integers(min_value=0, max_value=10**6), b=st.integers(min_value=1))
+    def test_off_subgroup_argument_pairs_as_its_g1_component(self, name, seed, b):
+        group = _GROUPS[name]
+        raw = _raw_point(group, seed)
+        component = _g1_component(group, raw)
+        q = group.g2() ** b
+        as_g1 = group.pair(_g1(group, raw), q)
+        assert as_g1 == group.pair(_g1(group, component), q)
+        if not q.is_identity():
+            # The reduced Tate pairing erases the small-order part of its
+            # evaluation point: the reference driven by q agrees.
+            assert as_g1.value == _reference_pair(group, q.point, raw)
+        # In the G2 slot too: a walked point outside G1 is walked as its component.
+        p = group.g1() ** b
+        assert group.pair(p, _g2(group, raw)) == group.pair(p, _g2(group, component))
+
+    @pytest.mark.parametrize("name", ["toy-64", "test-80"])
+    def test_small_order_arguments_contribute_one(self, name):
+        """Every point of small order, (0, 0) included, pairs to 1 in
+        either slot, like O."""
+        group = _GROUPS[name]
+        p, q = group.g1() ** 3, group.g2() ** 5
+        for point in _small_order_points(group, name):
+            assert group.pair(_g1(group, point), q).is_identity()
+            assert group.pair(p, _g2(group, point)).is_identity()
+            assert group.multi_pair([(p, q), (_g1(group, point), q)]) == group.pair(p, q)
+
+    def test_cache_is_bounded_and_an_evicted_key_pairs_the_same(self):
+        group = _group("toy-64")
+        p = group.g1() ** 7
+        keys = [group.g2() ** (i + 2) for i in range(LINE_CACHE_KEYS + 3)]
+        first = [group.pair(p, key) for key in keys]
+        assert len(group._line_cache) == LINE_CACHE_KEYS
+        assert keys[0].point not in group._line_cache
+        assert [group.pair(p, key) for key in keys] == first
+        assert len(group._line_cache) == LINE_CACHE_KEYS
+
+    def test_recently_used_key_is_kept(self):
+        group = _group("toy-64")
+        p, g = group.g1() ** 7, group.g2()
+        for i in range(2 * LINE_CACHE_KEYS):
+            group.pair(p, g)
+            group.pair(p, group.g2() ** (i + 2))
+        assert g.point in group._line_cache
+
+    def test_one_miller_pass_per_pairing_call(self, monkeypatch):
+        """Each pair/multi_pair call runs one evaluation and one final
+        exponentiation; each key is walked once."""
+        group = _group("toy-64")
+        calls = {"walk": 0, "final": 0}
+        walk, final = group._lines, group._final_exponentiation
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(group, "_lines", counted("walk", walk))
+        monkeypatch.setattr(group, "_final_exponentiation", counted("final", final))
+        pk = group.g2() ** 9
+        for i in range(3):
+            group.multi_pair([(group.g1() ** (i + 1), group.g2()), (group.g1() ** 4, pk)])
+        assert calls == {"walk": 2, "final": 3}
+
+    @pytest.mark.slow
+    def test_paper_160_matches_reference(self, paper_group):
+        rng = random.Random(161)
+        pk = paper_group.random_g2(rng)
+        pairs = [(paper_group.random_g1(rng), q) for q in (pk, paper_group.g2(), pk)]
+        expected = paper_group._gt_one()
+        for p, q in pairs:
+            reduced = _reference_pair(paper_group, p.point, q.point)
+            assert paper_group.pair(p, q).value == reduced
+            expected = paper_group._gt_mul(expected, reduced)
+        assert paper_group.multi_pair(pairs).value == expected
+        raw = _raw_point(paper_group, 1)
+        assert paper_group.pair(_g1(paper_group, raw), pk) == paper_group.pair(
+            _g1(paper_group, _g1_component(paper_group, raw)), pk)
+
+
+class TestThresholdPairingTallies:
+    """Eq. 10 and Eq. 14 moved onto ``pairings_equal`` and one
+    ``multi_pair``; their Pair tallies must not move."""
+
+    @pytest.fixture()
+    def shares(self):
+        group = _group("toy-64")
+        rng = random.Random(14)
+        keys = distribute_key(group, w=4, t=3, rng=rng)
+        blinded = [group.random_g1(rng) for _ in range(3)]
+        return group, keys, blinded, rng
+
+    def test_verify_share_is_two_pairings(self, shares):
+        group, keys, blinded, _ = shares
+        share = sign_share(blinded[0], keys.shares[1])
+        with CostTracker(group) as tracker:
+            assert verify_share(group, blinded[0], share, keys.share_pks[1])
+            assert not verify_share(group, blinded[1], share, keys.share_pks[1])
+        assert tracker.pairings == 4
+
+    def test_batch_verify_shares_is_t_plus_one_pairings_in_one_product(self, shares, monkeypatch):
+        group, keys, blinded, rng = shares
+        t = keys.t
+        by_sem = {j: [sign_share(m, keys.shares[j]) for m in blinded] for j in range(t)}
+        pks = {j: keys.share_pks[j] for j in range(t)}
+        finals = []
+        final = group._final_exponentiation
+        monkeypatch.setattr(group, "_final_exponentiation",
+                            lambda f: finals.append(f) or final(f))
+        with CostTracker(group) as tracker:
+            assert batch_verify_shares(group, blinded, by_sem, pks, rng)
+        assert tracker.pairings == t + 1
+        assert len(finals) == 1
+        by_sem[1][2] = by_sem[1][2] * group.g1()
+        assert not batch_verify_shares(group, blinded, by_sem, pks, rng)
 
 
 def _tallied(group, fn):
